@@ -1107,15 +1107,15 @@ def graded_piece(f: Polynomial, degree: int, weight: int,
     return GradedPiece(degree, weight, tuple(basis))
 
 
-def _derivation_coords(v: DerivationElement, index: dict) -> "list[Fraction]":
-    out = [Fraction(0)] * len(index)
+def _derivation_coords(v: DerivationElement, index: dict) -> "dict[int, Fraction]":
+    out = {}
     for i, t in enumerate(v.xi_parts):
         for (mono, yexp), c in t.terms.items():
-            out[index[("xi", i, mono, yexp)]] += c
+            out[index[("xi", i, mono, yexp)]] = c
     for (mono, yexp), c in v.del_part.terms.items():
-        out[index[("del", 0, mono, yexp)]] += c
+        out[index[("del", 0, mono, yexp)]] = c
     for mono, c in v.e_part.terms.items():
-        out[index[("e", 0, mono, 0)]] += c
+        out[index[("e", 0, mono, 0)]] = c
     return out
 
 
@@ -1148,7 +1148,7 @@ def _boundary_rank(f: Polynomial, src: GradedPiece, dst: GradedPiece) -> int:
         except KeyError as exc:
             raise RuntimeError(
                 f"differential left the enumerated piece at {exc}") from exc
-    return rank_of(rows)
+    return rank_of(rows, len(index))
 
 
 def cohomology_report(f: Polynomial, degree: int, weight: int) -> dict:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .groebner import normal_form, standard_monomials
-from .jacobian import deformed_subalgebra, graded_quotient
+from .jacobian import SingularInputError, deformed_subalgebra, graded_quotient
 from .linalg import Span
 from .polys import Polynomial, RingContext, render_polynomial
 
@@ -109,6 +109,8 @@ def build_extended(
     forms read off against the standard-monomial basis.
     """
     data = graded_quotient(f, ctx, max_pairs=max_pairs)
+    if not data.standard_basis:
+        raise SingularInputError("the quotient S/J_f is zero")
     n = ctx.nvars - 1
     monos = []
     for k in range(n):
@@ -161,11 +163,8 @@ def build_extended_deformed(
     std = standard_monomials(data.gb)
     index = {mono: i for i, mono in enumerate(std)}
 
-    def coords(p: Polynomial) -> list[Fraction]:
-        vec = [Fraction(0)] * len(std)
-        for mono, coeff in p.terms.items():
-            vec[index[mono]] = coeff
-        return vec
+    def coords(p: Polynomial) -> dict[int, Fraction]:
+        return {index[mono]: coeff for mono, coeff in p.terms.items()}
 
     span = Span(len(std), track_original=True)
     for b in data.basis:

@@ -11,8 +11,10 @@ monomial, so identical inputs give identical outputs.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .polys import Monomial, Polynomial, degrevlex_key
 
@@ -31,8 +33,14 @@ class GroebnerBasis:
     order: MonomialOrder
     nvars: int
 
+    @cached_property
+    def leads(self) -> tuple[Monomial, ...]:
+        """Leading monomials of the generators; not a field, so equality
+        and hashing are unchanged."""
+        return tuple(g.leading_monomial() for g in self.generators)
+
     def leading_monomials(self) -> list[Monomial]:
-        return [g.leading_monomial() for g in self.generators]
+        return list(self.leads)
 
     def __iter__(self):
         return iter(self.generators)
@@ -62,14 +70,16 @@ def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return left - right
 
 
-def _reduce(p: Polynomial, reducers: list[Polynomial]) -> Polynomial:
+def _reduce(
+    p: Polynomial, reducers: Sequence[Polynomial], lms: Sequence[Monomial]
+) -> Polynomial:
     """Full multivariate division remainder of p by the (monic) reducers.
 
-    Deterministic: at each step the largest remaining monomial is either
-    cancelled against the first reducer whose leading monomial divides
-    it, or moved to the remainder.
+    lms[i] is the leading monomial of reducers[i].  Deterministic: at
+    each step the largest remaining monomial is either cancelled against
+    the first reducer whose leading monomial divides it, or moved to the
+    remainder.
     """
-    lms = [r.leading_monomial() for r in reducers]
     work = dict(p.terms)
     remainder: dict[Monomial, Fraction] = {}
     while work:
@@ -98,7 +108,7 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Canonical remainder of p modulo the ideal of gb."""
     if p.nvars != gb.nvars:
         raise ValueError("arity mismatch")
-    return _reduce(p, list(gb.generators))
+    return _reduce(p, gb.generators, gb.leads)
 
 
 def buchberger(
@@ -122,13 +132,12 @@ def buchberger(
         if g.nvars != nvars:
             raise ValueError("generators have mixed arity")
     working = [g.monic() for g in basis]
+    lms = [g.leading_monomial() for g in working]  # kept in step with working
 
     queue: dict[tuple[int, int], Monomial] = {}
     for i in range(len(working)):
         for j in range(i + 1, len(working)):
-            queue[(i, j)] = _lcm(
-                working[i].leading_monomial(), working[j].leading_monomial()
-            )
+            queue[(i, j)] = _lcm(lms[i], lms[j])
     treated: set[tuple[int, int]] = set()
     examined = 0
 
@@ -143,8 +152,7 @@ def buchberger(
         examined += 1
         if examined > max_pairs:
             raise BudgetExceeded(f"pair budget {max_pairs} exceeded")
-        lmi = working[i].leading_monomial()
-        lmj = working[j].leading_monomial()
+        lmi, lmj = lms[i], lms[j]
         # first criterion: coprime leading monomials reduce to zero
         if all(a == 0 or b == 0 for a, b in zip(lmi, lmj)):
             continue
@@ -154,7 +162,7 @@ def buchberger(
             if k in ij:
                 continue
             if (
-                _divides(working[k].leading_monomial(), lcm_ij)
+                _divides(lms[k], lcm_ij)
                 and ordered(i, k) in treated
                 and ordered(j, k) in treated
             ):
@@ -162,28 +170,31 @@ def buchberger(
                 break
         if skip:
             continue
-        remainder = _reduce(spolynomial(working[i], working[j]), working)
+        remainder = _reduce(spolynomial(working[i], working[j]), working, lms)
         if not remainder.is_zero():
+            t = len(working)
             working.append(remainder.monic())
-            t = len(working) - 1
-            lmt = working[t].leading_monomial()
+            lms.append(working[t].leading_monomial())
             for k in range(t):
-                queue[(k, t)] = _lcm(working[k].leading_monomial(), lmt)
+                queue[(k, t)] = _lcm(lms[k], lms[t])
 
     # minimalize: drop generators whose leading monomial is divisible by
     # another's, keeping the degrevlex-smallest representatives
-    working.sort(key=lambda g: degrevlex_key(g.leading_monomial()))
     minimal: list[Polynomial] = []
-    for g in working:
-        lm = g.leading_monomial()
-        if not any(_divides(h.leading_monomial(), lm) for h in minimal):
+    min_lms: list[Monomial] = []
+    by_lead = sorted(zip(lms, working), key=lambda pair: degrevlex_key(pair[0]))
+    for lm, g in by_lead:
+        if not any(_divides(h, lm) for h in min_lms):
             minimal.append(g)
-    # reduce each generator's tail against the others
+            min_lms.append(lm)
+    # reduce each generator's tail against the others; no other leading
+    # monomial divides its own, so the leading monomials and their
+    # ascending order survive
     reduced = []
     for idx, g in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1 :]
-        reduced.append(_reduce(g, others).monic())
-    reduced.sort(key=lambda g: degrevlex_key(g.leading_monomial()))
+        reduced.append(
+            _reduce(g, others, min_lms[:idx] + min_lms[idx + 1 :]).monic())
     return GroebnerBasis(tuple(reduced), order, nvars)
 
 
@@ -193,7 +204,7 @@ def is_zero_dimensional(gb: GroebnerBasis) -> bool:
     Criterion: every variable has some leading monomial that is a pure
     power of it.
     """
-    lms = gb.leading_monomials()
+    lms = gb.leads
     for var in range(gb.nvars):
         if not any(
             all(e == 0 for k, e in enumerate(lm) if k != var) for lm in lms
@@ -210,7 +221,7 @@ def standard_monomials(gb: GroebnerBasis) -> list[Monomial]:
     """
     if not is_zero_dimensional(gb):
         raise ValueError("infinite quotient")
-    lms = gb.leading_monomials()
+    lms = gb.leads
     bounds = []
     for var in range(gb.nvars):
         powers = [

@@ -24,7 +24,8 @@ from .polys import Monomial, Polynomial, RingContext, monomials_of_weight
 
 
 class SingularInputError(ValueError):
-    """The defining form has a non-isolated singularity."""
+    """The defining form is inhomogeneous, has a non-isolated singularity,
+    or has a zero Jacobian quotient."""
 
 
 class SingularDeformationError(ValueError):
@@ -180,21 +181,18 @@ def deformed_subalgebra(
     index = {mono: i for i, mono in enumerate(std)}
     nstd = len(std)
 
-    def coords(p: Polynomial) -> list[Fraction]:
-        vec = [Fraction(0)] * nstd
-        for mono, coeff in p.terms.items():
-            vec[index[mono]] = coeff
-        return vec
+    def coords(p: Polynomial) -> dict[int, Fraction]:
+        return {index[mono]: coeff for mono, coeff in p.terms.items()}
 
     weight_nu = monomials_of_weight(ctx.nvars, ctx.nu)
     one = normal_form(Polynomial.constant(ctx.nvars, 1), gb)
+    if one.is_zero():
+        raise SingularDeformationError("the quotient S/J_(f+g) is zero")
 
     total_span = Span(nstd)
-    basis: list[Polynomial] = []
-    if not one.is_zero():
-        total_span.add(coords(one))
-        basis.append(one)
-    layer = [one] if not one.is_zero() else []
+    total_span.add(coords(one))
+    basis = [one]
+    layer = [one]
     generators_nf: tuple[Polynomial, ...] = ()
     stabilized_at = 0
     extra_mode = False

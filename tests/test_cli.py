@@ -160,16 +160,28 @@ def test_json_determinism(capsys):
     assert strip(out1) == strip(out2)
 
 
+@pytest.mark.parametrize("argv,ring", [
+    (["moduli", "x0"], "S/J_f"),
+    (["deform", "x0"], "S/J_(f+g)"),
+])
+def test_zero_quotient_is_a_hypothesis_failure(capsys, argv, ring):
+    # a linear f has J_f = (1): no standard monomials and no unit class
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"hypothesis failure: the quotient {ring} is zero\n"
+
+
 def test_inhomogeneous_f_is_a_hypothesis_failure(capsys):
     code, out, err = run(capsys, ["moduli", "x0^3 + x1^2", "--nvars", "3"])
     assert code == 1
     assert "homogeneous" in err
 
 
-def test_console_script_entry_point():
+def test_console_script_entry_point(src_env):
     proc = subprocess.run(
         [sys.executable, "-m", "jmoduli.cli", "check", CUBIC, "--json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=src_env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["pass"] is True
 

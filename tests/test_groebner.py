@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jmoduli import (
     BudgetExceeded,
@@ -15,6 +16,7 @@ from jmoduli import (
     spolynomial,
     standard_monomials,
 )
+from jmoduli.groebner import _reduce
 
 
 def polys(*texts, nvars=None):
@@ -190,3 +192,38 @@ def test_quotient_dimension_against_row_reduction():
             if span.add(vec):
                 count += 1
     assert count == len(std) == 8
+
+
+# -- leading monomials cached on the basis -----------------------------------
+
+CACHE_BASES = [
+    buchberger(polys("x0^2 + x1*x2", "x1^2 + x0*x2", "x2^2 + x0*x1", nvars=3)),
+    buchberger(polys("3*x0^2 + 6*x0^5", "3*x1^2", "3*x2^2 + x0*x1", nvars=3)),
+    buchberger(polys("x0^2*x1 - x2^3 + x1", "x1^2*x2 - x0 + 1", nvars=3)),
+]
+
+random_polys = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=4)] * 3),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    max_size=6,
+).map(lambda d: Polynomial(3, d))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(random_polys, st.sampled_from(range(len(CACHE_BASES))))
+def test_normal_form_with_cached_leads_matches_fresh_ones(p, which):
+    gb = CACHE_BASES[which]
+    fresh = [g.leading_monomial() for g in gb.generators]
+    assert list(gb.leads) == fresh
+    assert normal_form(p, gb) == _reduce(p, list(gb.generators), fresh)
+
+
+def test_cached_leads_leave_equality_and_hash_alone():
+    gens = polys("x0^2 - x1", "x1^2 - 1", nvars=2)
+    warm = buchberger(gens)
+    normal_form(parse_polynomial("x0^3*x1", 2), warm)
+    assert "leads" in vars(warm)
+    fresh = buchberger(gens)
+    assert "leads" not in vars(fresh)
+    assert warm == fresh
+    assert hash(warm) == hash(fresh)

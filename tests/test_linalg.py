@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 
-from jmoduli import Span, rref
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from jmoduli import Span, rank_of, rref
 
 
 def F(rows):
@@ -21,6 +24,14 @@ def test_rref_dependent_rows():
     assert rank == 2
     assert pivots == [0, 2]
     assert rows == F([[1, 2, 0], [0, 0, 1]])
+
+
+def test_rref_clears_entries_brought_in_at_later_pivots():
+    # eliminating the last row by the first brings in column 1, which is
+    # the pivot of the second row and must be cleared in turn
+    rows = F([[1, 1, 1], [0, 1, 0], [1, 0, 0]])
+    assert rref(rows) == (F([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 3, [0, 1, 2])
+    assert rank_of(rows) == 3
 
 
 def test_rref_zero_matrix():
@@ -108,3 +119,123 @@ def test_span_expand_exercises_elimination_bookkeeping():
         vs[0][i] * 7 - vs[1][i] * 2 + vs[2][i] * 5 for i in range(4)
     ]
     assert span.expand(combo) == [Fraction(7), Fraction(-2), Fraction(5)]
+
+
+def test_span_rejects_bad_vectors():
+    span = Span(3)
+    with pytest.raises(ValueError, match="wrong vector length"):
+        span.add([Fraction(1)])
+    with pytest.raises(ValueError, match="out of range"):
+        span.add({3: Fraction(1)})
+    with pytest.raises(ValueError, match="out of range"):
+        span.contains({-1: Fraction(1)})
+
+
+def test_rref_rejects_bad_rows():
+    with pytest.raises(ValueError, match="ragged"):
+        rref(F([[1, 2], [3]]))
+    with pytest.raises(ValueError, match="out of range"):
+        rref([[Fraction(1), Fraction(0)], {2: Fraction(1)}])
+    with pytest.raises(ValueError, match="ncols"):
+        rank_of([{0: Fraction(1)}])
+    assert rank_of([{0: Fraction(1)}], ncols=1) == 1
+
+
+# -- the sparse kernel against the dense reference ---------------------------
+
+
+def dense_rref(rows):
+    """Dense Gauss-Jordan elimination: the reference for the sparse core."""
+    if not rows:
+        return [], 0, []
+    m = [list(r) for r in rows]
+    ncols = len(m[0])
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot_row = None
+        for r in range(rank, len(m)):
+            if m[r][col]:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [v * inv for v in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(m):
+            break
+    return m[:rank], rank, pivots
+
+
+def entries(zeros=3):
+    """Rationals that are zero with probability zeros / (zeros + 1)."""
+    return st.integers(0, zeros).flatmap(
+        lambda k: st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        if k == 0 else st.just(Fraction(0)))
+
+
+@st.composite
+def matrices(draw):
+    # mostly zeros, like the closure and dgla matrices
+    ncols = draw(st.integers(1, 6))
+    nrows = draw(st.integers(0, 7))
+    row = st.lists(entries(draw(st.integers(1, 3))),
+                   min_size=ncols, max_size=ncols)
+    return ncols, draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+
+def as_input(row, sparse):
+    """The row as passed in: dense, or as a {col: value} dict."""
+    return {c: x for c, x in enumerate(row) if x} if sparse else row
+
+
+def combine(coeffs, vectors, ncols):
+    return [sum((c * v[i] for c, v in zip(coeffs, vectors)), Fraction(0))
+            for i in range(ncols)]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(matrices(), st.data())
+def test_sparse_core_matches_dense_reference(matrix, data):
+    ncols, rows = matrix
+    sparse = data.draw(st.lists(st.booleans(), min_size=len(rows),
+                                max_size=len(rows)))
+    inputs = [as_input(r, s) for r, s in zip(rows, sparse)]
+    want_rows, want_rank, want_pivots = dense_rref(rows)
+
+    assert rref(inputs, ncols) == (want_rows, want_rank, want_pivots)
+    assert rank_of(inputs, ncols) == want_rank
+
+    span = Span(ncols, track_original=True)
+    accepted = []
+    for i, (row, vec) in enumerate(zip(rows, inputs)):
+        grows = dense_rref(rows[: i + 1])[1] > dense_rref(rows[:i])[1]
+        assert span.contains(vec) is not grows
+        assert span.add(vec) is grows
+        assert span.contains(vec)
+        if grows:
+            accepted.append(row)
+    assert span.dim == want_rank
+    # reduced rows in descending order are in ascending pivot order
+    assert sorted(span.basis_rows(), reverse=True) == want_rows
+
+    coeffs = data.draw(st.lists(entries(), min_size=len(accepted),
+                                max_size=len(accepted)))
+    target = combine(coeffs, accepted, ncols)
+    sparse_target = data.draw(st.booleans())
+    assert span.expand(as_input(target, sparse_target)) == coeffs
+
+    probe = data.draw(st.lists(entries(), min_size=ncols, max_size=ncols))
+    outside = dense_rref(accepted + [probe])[1] > len(accepted)
+    expansion = span.expand(as_input(probe, data.draw(st.booleans())))
+    if outside:
+        assert expansion is None
+    else:
+        assert combine(expansion, accepted, ncols) == probe
