@@ -27,19 +27,19 @@ import time
 
 from . import __version__
 from .extended import (
-    build_extended,
-    build_extended_deformed,
+    compare_dimensions,
+    extended_from_closure,
+    extended_from_quotient,
     to_json_dict,
-    verify_dimension_equality,
 )
 from .dgla import cohomology_report
-from .groebner import BudgetExceeded
+from .groebner import BudgetExceeded, is_zero_dimensional
 from .jacobian import (
     SingularDeformationError,
     SingularInputError,
     deformed_subalgebra,
     graded_quotient,
-    is_nonsingular,
+    jacobian_gb,
     weight_of_or_none,
 )
 from .polys import (
@@ -156,12 +156,17 @@ def cmd_check(args) -> int:
     nu = weight_of_or_none(f)
     homogeneous = nu is not None
     calabi_yau = homogeneous and nu == f.nvars
-    nonsingular = False
+    nonsingular = zero_quotient = False
     if homogeneous:
         budget.check("parse")
-        ctx = RingContext(f.nvars, nu)
-        nonsingular = is_nonsingular(f, ctx, max_pairs=args.max_pairs)
+        gb = jacobian_gb(f, max_pairs=args.max_pairs)
+        nonsingular = gb is not None and is_zero_dimensional(gb)
+        zero_quotient = nonsingular and (0,) * f.nvars in gb.leads
     passed = homogeneous and calabi_yau and nonsingular
+    why = ""
+    if passed and zero_quotient:
+        # J_f = (1) (f is linear): moduli and deform have nothing to work on
+        passed, why = False, "  (the quotient S/J_f is zero)"
     result = {
         "homogeneous": homogeneous,
         "nu": nu,
@@ -178,7 +183,7 @@ def cmd_check(args) -> int:
         + (f"  (weight {nu})" if homogeneous else ""),
         f"calabi-yau:   {'yes' if calabi_yau else 'no (needs weight = nvars)'}",
         f"nonsingular:  {'yes' if nonsingular else 'no'}",
-        f"verdict:      {'pass' if passed else 'fail'}",
+        f"verdict:      {'pass' if passed else 'fail'}{why}",
     ]
     _emit(args, report, lines, None)
     return EXIT_OK if passed else EXIT_MATH
@@ -191,7 +196,7 @@ def cmd_moduli(args) -> int:
     budget.check("parse")
     data = graded_quotient(f, ctx, max_pairs=args.max_pairs)
     budget.check("groebner")
-    alg = build_extended(f, ctx, max_pairs=args.max_pairs)
+    alg = extended_from_quotient(data, ctx)
     budget.check("extended algebra")
     n = ctx.nvars - 1
     bases = []
@@ -236,9 +241,10 @@ def cmd_deform(args) -> int:
     budget.check("parse")
     data = deformed_subalgebra(f, g, ctx, max_pairs=args.max_pairs)
     budget.check("closure")
-    alg = build_extended_deformed(f, g, ctx, max_pairs=args.max_pairs)
+    alg = extended_from_closure(data, ctx)
     budget.check("products")
-    comparison = verify_dimension_equality(f, g, ctx, max_pairs=args.max_pairs)
+    comparison = compare_dimensions(
+        graded_quotient(f, ctx, max_pairs=args.max_pairs), data, ctx)
     dump = to_json_dict(alg)
     result = {
         "dim_extended": comparison["dim_extended"],

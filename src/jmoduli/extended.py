@@ -4,7 +4,10 @@ For homogeneous nonsingular f the underlying space is R = sum of the
 weight-k*nu graded pieces of S/J_f (k = 0..n-1); for a deformation f+g
 it is the closure subalgebra R_{f+g}.  The e-classes multiply to zero
 against everything except the unit.  Structure constants are stored
-sparsely for all ordered pairs.
+sparsely; only the pairs i <= j are computed, and the mirrored entry
+products[j][i] is the same dict as products[i][j].  In the graded case
+the products come from one normal-form table per weight
+(groebner.weight_normal_forms), not from a division per pair.
 """
 
 from __future__ import annotations
@@ -12,8 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groebner import normal_form, standard_monomials
-from .jacobian import SingularInputError, deformed_subalgebra, graded_quotient
+from .groebner import normal_form, standard_monomials, weight_normal_forms
+from .jacobian import (
+    DeformedSubalgebraData,
+    GradedQuotientData,
+    SingularInputError,
+    deformed_subalgebra,
+    graded_quotient,
+)
 from .linalg import Span
 from .polys import Polynomial, RingContext, render_polynomial
 
@@ -76,24 +85,16 @@ def structure_constants(
     return out
 
 
-def _with_e_products(
-    primitive_products: list[list[dict[int, Fraction]]],
-    nprim: int,
-    n_e: int,
-    unit_index: int,
-) -> ProductTable:
-    """Extend a primitive-by-primitive table by the e-class rules.
+def _e_products(nprim: int, n_e: int, unit_index: int) -> ProductTable:
+    """A table for nprim primitive classes followed by n_e e-classes, with
+    only the e-class rules filled in.
 
     e_i * e_j = 0 and e_i * [h] = 0 except against the unit:
     1 * e_i = e_i * 1 = e_i.
     """
     dim = nprim + n_e
     table: ProductTable = [[{} for _ in range(dim)] for _ in range(dim)]
-    for a in range(nprim):
-        for b in range(nprim):
-            table[a][b] = primitive_products[a][b]
-    for t in range(n_e):
-        e = nprim + t
+    for e in range(nprim, dim):
         table[unit_index][e] = {e: Fraction(1)}
         table[e][unit_index] = {e: Fraction(1)}
     return table
@@ -102,13 +103,21 @@ def _with_e_products(
 def build_extended(
     f: Polynomial, ctx: RingContext, max_pairs: int = 10**6
 ) -> ExtendedAlgebra:
-    """R-tilde for homogeneous nonsingular f, with its even grading.
+    """R-tilde for homogeneous nonsingular f, with its even grading."""
+    return extended_from_quotient(
+        graded_quotient(f, ctx, max_pairs=max_pairs), ctx)
+
+
+def extended_from_quotient(
+    data: GradedQuotientData, ctx: RingContext
+) -> ExtendedAlgebra:
+    """R-tilde from the graded quotient S/J_f.
 
     Basis: the standard monomials of weight k*nu for k = 0..n-1 (grade
-    2k), then e_0..e_{n-1} (grade n-1).  Primitive products are normal
-    forms read off against the standard-monomial basis.
+    2k), then e_0..e_{n-1} (grade n-1).  The product of two basis
+    monomials is read off the weight table of its weight (k_a+k_b)*nu;
+    above the socle weight there is no standard monomial, so it is zero.
     """
-    data = graded_quotient(f, ctx, max_pairs=max_pairs)
     if not data.standard_basis:
         raise SingularInputError("the quotient S/J_f is zero")
     n = ctx.nvars - 1
@@ -122,28 +131,30 @@ def build_extended(
     grading = [2 * k for _, k in monos]
     index_of_mono = {mono: i for i, (mono, _) in enumerate(monos)}
     nprim = len(monos)
-
-    prim_products: list[list[dict[int, Fraction]]] = [
-        [{} for _ in range(nprim)] for _ in range(nprim)
-    ]
-    for a, (ma, ka) in enumerate(monos):
-        pa = Polynomial.monomial(ma)
-        for b, (mb, kb) in enumerate(monos):
-            nf = normal_form(pa * Polynomial.monomial(mb), data.gb)
-            entry: dict[int, Fraction] = {}
-            for mono, coeff in nf.terms.items():
-                if mono not in index_of_mono:
-                    raise RuntimeError(
-                        "normal form left the graded basis; inconsistent quotient"
-                    )
-                entry[index_of_mono[mono]] = coeff
-            prim_products[a][b] = entry
-
     unit_index = index_of_mono[(0,) * ctx.nvars]
+    table = _e_products(nprim, n, unit_index)
+    socle = len(data.hilbert) - 1
+    weight_tables = {
+        k: weight_normal_forms(data.gb, k * ctx.nu)
+        for k in range(2 * n - 1)
+        if k * ctx.nu <= socle
+    }
+    for a, (ma, ka) in enumerate(monos):
+        for b in range(a, nprim):
+            mb, kb = monos[b]
+            if ka + kb not in weight_tables:
+                continue
+            nf = weight_tables[ka + kb][tuple(x + y for x, y in zip(ma, mb))]
+            if not nf.keys() <= index_of_mono.keys():
+                raise RuntimeError(
+                    "normal form left the graded basis; inconsistent quotient"
+                )
+            entry = {index_of_mono[mono]: coeff for mono, coeff in nf.items()}
+            table[a][b] = table[b][a] = entry
+
     for t in range(n):
         labels.append(EClass(t))
         grading.append(n - 1)
-    table = _with_e_products(prim_products, nprim, n, unit_index)
     return ExtendedAlgebra(tuple(labels), table, tuple(grading), unit_index)
 
 
@@ -153,13 +164,20 @@ def build_extended_deformed(
     ctx: RingContext,
     max_pairs: int = 10**6,
 ) -> ExtendedAlgebra:
-    """R-tilde_{f+g}: ungraded, on the closure basis of R_{f+g} plus e's.
+    """R-tilde_{f+g}: ungraded, on the closure basis of R_{f+g} plus e's."""
+    return extended_from_closure(
+        deformed_subalgebra(f, g, ctx, max_pairs=max_pairs), ctx)
+
+
+def extended_from_closure(
+    data: DeformedSubalgebraData, ctx: RingContext
+) -> ExtendedAlgebra:
+    """R-tilde_{f+g} from the closure R_{f+g}.
 
     Primitive products are normal forms re-expanded over the stored
     basis by exact elimination; a product falling outside the span is an
     internal error (closure guarantees membership).
     """
-    data = deformed_subalgebra(f, g, ctx, max_pairs=max_pairs)
     std = standard_monomials(data.gb)
     index = {mono: i for i, mono in enumerate(std)}
 
@@ -172,18 +190,17 @@ def build_extended_deformed(
             raise RuntimeError("stored closure basis is linearly dependent")
 
     nprim = len(data.basis)
-    prim_products: list[list[dict[int, Fraction]]] = [
-        [{} for _ in range(nprim)] for _ in range(nprim)
-    ]
+    n = ctx.nvars - 1
+    table = _e_products(nprim, n, unit_index=0)
     for a, pa in enumerate(data.basis):
-        for b, pb in enumerate(data.basis):
-            nf = normal_form(pa * pb, data.gb)
+        for b in range(a, nprim):
+            nf = normal_form(pa * data.basis[b], data.gb)
             expansion = span.expand(coords(nf))
             if expansion is None:
                 raise RuntimeError(
                     "product left the closure span; closure invariant violated"
                 )
-            prim_products[a][b] = {
+            table[a][b] = table[b][a] = {
                 x: c for x, c in enumerate(expansion) if c
             }
 
@@ -191,26 +208,35 @@ def build_extended_deformed(
     if unit != normal_form(Polynomial.constant(ctx.nvars, 1), data.gb):
         raise RuntimeError("closure basis does not start with the unit class")
     labels: list[Label] = [PrimitiveClass(b, None) for b in data.basis]
-    n = ctx.nvars - 1
     for t in range(n):
         labels.append(EClass(t))
-    table = _with_e_products(prim_products, nprim, n, unit_index=0)
     return ExtendedAlgebra(tuple(labels), table, None, 0)
 
 
 def verify_dimension_equality(
     f: Polynomial, g: Polynomial, ctx: RingContext, max_pairs: int = 10**6
 ) -> dict:
-    """Compare dim R-tilde with dim R-tilde_{f+g}, computed independently.
+    """Compare dim R-tilde with dim R-tilde_{f+g}, computed independently."""
+    return compare_dimensions(
+        graded_quotient(f, ctx, max_pairs=max_pairs),
+        deformed_subalgebra(f, g, ctx, max_pairs=max_pairs),
+        ctx,
+    )
+
+
+def compare_dimensions(
+    data: GradedQuotientData,
+    deformed: DeformedSubalgebraData,
+    ctx: RingContext,
+) -> dict:
+    """dim R-tilde against dim R-tilde_{f+g}.
 
     The graded dimension comes from Hilbert data alone; the deformed one
     from the closure computation.  Returns {"dim_extended",
     "dim_deformed", "equal"}.
     """
-    data = graded_quotient(f, ctx, max_pairs=max_pairs)
     n = ctx.nvars - 1
     dim_extended = sum(data.r_dims) + n
-    deformed = deformed_subalgebra(f, g, ctx, max_pairs=max_pairs)
     dim_deformed = deformed.dim + n
     return {
         "dim_extended": dim_extended,

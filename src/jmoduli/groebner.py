@@ -11,12 +11,13 @@ monomial, so identical inputs give identical outputs.
 from __future__ import annotations
 
 import enum
+import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .polys import Monomial, Polynomial, degrevlex_key
+from .polys import Monomial, Polynomial, degrevlex_key, monomials_of_weight
 
 
 class MonomialOrder(enum.Enum):
@@ -111,6 +112,43 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     return _reduce(p, gb.generators, gb.leads)
 
 
+def weight_normal_forms(
+    gb: GroebnerBasis, weight: int
+) -> dict[Monomial, dict[Monomial, Fraction]]:
+    """Normal form of every monomial of one weight, as {standard monomial:
+    coefficient}; gb must be homogeneous (as J_f is for homogeneous f).
+
+    Built in ascending degrevlex order: a standard monomial is its own
+    normal form, and any other m reduces by the first generator g whose
+    leading monomial divides it, as normal_form does, so NF(m) is
+    -sum c * NF(t * shift) over the tail terms c*t of the monic g.  Those
+    monomials have the same weight and are smaller than m, so their rows
+    are already in the table.
+    """
+    table: dict[Monomial, dict[Monomial, Fraction]] = {}
+    for mono in monomials_of_weight(gb.nvars, weight):
+        for lm, g in zip(gb.leads, gb.generators):
+            if _divides(lm, mono):
+                break
+        else:
+            table[mono] = {mono: Fraction(1)}
+            continue
+        shift = _quotient(mono, lm)
+        row: dict[Monomial, Fraction] = {}
+        for tail, c in g.terms.items():
+            if tail == lm:
+                continue
+            target = tuple(a + b for a, b in zip(tail, shift))
+            for std, d in table[target].items():
+                v = row.get(std, 0) - c * d
+                if v:
+                    row[std] = v
+                else:
+                    del row[std]
+        table[mono] = row
+    return table
+
+
 def buchberger(
     gens: list[Polynomial],
     order: MonomialOrder = MonomialOrder.DEGREVLEX,
@@ -134,10 +172,17 @@ def buchberger(
     working = [g.monic() for g in basis]
     lms = [g.leading_monomial() for g in working]  # kept in step with working
 
-    queue: dict[tuple[int, int], Monomial] = {}
+    # pending pairs as (degrevlex_key(lcm), i, j, lcm): popped smallest lcm
+    # first, ties broken by (i, j)
+    queue: list[tuple[tuple, int, int, Monomial]] = []
+
+    def push(i: int, j: int) -> None:
+        lcm = _lcm(lms[i], lms[j])
+        heapq.heappush(queue, (degrevlex_key(lcm), i, j, lcm))
+
     for i in range(len(working)):
         for j in range(i + 1, len(working)):
-            queue[(i, j)] = _lcm(lms[i], lms[j])
+            push(i, j)
     treated: set[tuple[int, int]] = set()
     examined = 0
 
@@ -145,9 +190,8 @@ def buchberger(
         return (a, b) if a < b else (b, a)
 
     while queue:
-        ij = min(queue, key=lambda k: (degrevlex_key(queue[k]), k))
-        lcm_ij = queue.pop(ij)
-        i, j = ij
+        _, i, j, lcm_ij = heapq.heappop(queue)
+        ij = (i, j)
         treated.add(ij)
         examined += 1
         if examined > max_pairs:
@@ -176,7 +220,7 @@ def buchberger(
             working.append(remainder.monic())
             lms.append(working[t].leading_monomial())
             for k in range(t):
-                queue[(k, t)] = _lcm(lms[k], lms[t])
+                push(k, t)
 
     # minimalize: drop generators whose leading monomial is divisible by
     # another's, keeping the degrevlex-smallest representatives

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import jmoduli
 from jmoduli.cli import main
 
 CUBIC = "x0^3 + x1^3 + x2^3"
@@ -44,6 +45,22 @@ def test_check_singular(capsys):
     code, report, _ = run_json(capsys, ["check", "x0^3+x1^3", "--nvars", "3"])
     assert code == 1
     assert report["result"]["nonsingular"] is False
+
+
+def test_check_zero_quotient(capsys):
+    # a linear f has J_f = (1); moduli and deform refuse it, so check must too
+    code, report, _ = run_json(capsys, ["check", "x0"])
+    assert code == 1
+    assert report["result"] == {
+        "homogeneous": True, "nu": 1, "nvars": 1, "calabi_yau": True,
+        "nonsingular": True, "pass": False}
+    code, out, _ = run(capsys, ["check", "x0"])
+    assert code == 1
+    assert "verdict:      fail  (the quotient S/J_f is zero)\n" in out
+    # with two or more variables a linear f already fails the balance
+    code, out, _ = run(capsys, ["check", "x0 + x1"])
+    assert code == 1
+    assert out.endswith("verdict:      fail\n")
 
 
 def test_parse_error_exit_code(capsys):
@@ -192,3 +209,33 @@ def test_human_output_mentions_dimensions(capsys):
     assert "dim R~:       4" in out
     code, out, _ = run(capsys, ["dgla", CUBIC, "--degree", "1", "--weight=-3"])
     assert "hilbert check: pass" in out
+
+
+def count_calls(monkeypatch, name):
+    """Count calls of a jmoduli function through every module binding."""
+    calls = []
+    original = getattr(jmoduli, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for key, mod in sys.modules.items():
+        if key.startswith("jmoduli") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("argv,groebner_bases,closures", [
+    (["check", QUARTIC], 1, 0),
+    (["moduli", QUARTIC], 1, 0),
+    (["deform", QUARTIC, "x0*x1*x2*x3"], 2, 1),  # J_f and J_(f+g)
+])
+def test_each_stage_runs_once_per_command(monkeypatch, capsys, argv,
+                                          groebner_bases, closures):
+    gbs = count_calls(monkeypatch, "buchberger")
+    closure_calls = count_calls(monkeypatch, "deformed_subalgebra")
+    code, _, _ = run_json(capsys, argv)
+    assert code == 0
+    assert len(gbs) == groebner_bases
+    assert len(closure_calls) == closures

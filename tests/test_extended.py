@@ -6,11 +6,17 @@ import pytest
 
 from jmoduli import (
     EClass,
+    Polynomial,
     PrimitiveClass,
     RingContext,
+    Span,
     build_extended,
     build_extended_deformed,
+    deformed_subalgebra,
+    graded_quotient,
+    normal_form,
     parse_polynomial,
+    standard_monomials,
     structure_constants,
     to_json_dict,
     verify_algebra_laws,
@@ -140,3 +146,79 @@ def test_json_grading_absent_for_deformed():
     assert blob["grading"] is None
     assert blob["dim"] == 8
     assert len(blob["basis"]) == 8
+
+
+# -- the product tables against a normal form of every ordered pair ----------
+
+DENSE_QUARTIC = (
+    "x0^4 + x1^4 + x2^4 + x3^4 + 2*x0^2*x1*x2 - x1*x2*x3^2 + 3*x0*x1*x2*x3"
+    " - x0^2*x3^2 + x1^3*x3 - 2*x0*x2^3 + x0*x1^2*x3 - 3*x2^2*x3^2"
+    " + x0*x1*x2^2 + 2*x1^2*x2*x3")
+GRADED_ORACLE_FORMS = {
+    "fermat_cubic": "x0^3 + x1^3 + x2^3",
+    "fermat_quartic": "x0^4 + x1^4 + x2^4 + x3^4",
+    "dense_quartic": DENSE_QUARTIC,
+    "perturbed_quintic": "x0^5 + x1^5 + x2^5 + x3^5 + x4^5 - 3*x0^2*x1*x4^2",
+}
+
+
+def ordered_pair_products(f, ctx):
+    """Primitive products of R-tilde as build_extended once computed them:
+    the normal form of every ordered pair of basis monomials.  The
+    reference for the weight-table path."""
+    data = graded_quotient(f, ctx)
+    monos = [mono for k in range(ctx.nvars - 1)
+             for mono in data.primitive_basis(k, ctx.nu)]
+    index = {mono: i for i, mono in enumerate(monos)}
+    return [[{index[mono]: c for mono, c in normal_form(
+                Polynomial.monomial(ma) * Polynomial.monomial(mb),
+                data.gb).terms.items()}
+             for mb in monos] for ma in monos]
+
+
+@pytest.mark.parametrize("name", sorted(GRADED_ORACLE_FORMS))
+def test_graded_products_match_ordered_pair_normal_forms(name):
+    f = parse_polynomial(GRADED_ORACLE_FORMS[name])
+    ctx = RingContext(f.nvars, f.nvars)
+    alg = build_extended(f, ctx)
+    expected = ordered_pair_products(f, ctx)
+    nprim = len(expected)
+    assert [row[:nprim] for row in alg.products[:nprim]] == expected
+    # the mirrored entry of a computed product is the same dict
+    for a in range(nprim):
+        for b in range(a, nprim):
+            if alg.products[a][b]:
+                assert alg.products[b][a] is alg.products[a][b]
+
+
+def test_dense_quartic_extended_laws():
+    alg = build_extended(parse_polynomial(DENSE_QUARTIC), RingContext(4, 4))
+    assert verify_algebra_laws(alg) == {
+        "unital": True,
+        "commutative": True,
+        "associative": True,
+        "graded_ok": True,
+    }
+
+
+@pytest.mark.parametrize("f_text,g_text", [
+    ("x0^3 + x1^3 + x2^3", "x0*x1*x2"),
+    ("x0^3 + x1^3 + x2^3", "x0^6"),
+    ("x0^4 + x1^4 + x2^4 + x3^4", "x0*x1*x2*x3"),
+])
+def test_deformed_products_match_ordered_pair_normal_forms(f_text, g_text):
+    f = parse_polynomial(f_text)
+    ctx = RingContext(f.nvars, f.nvars)
+    g = parse_polynomial(g_text, f.nvars)
+    alg = build_extended_deformed(f, g, ctx)
+    data = deformed_subalgebra(f, g, ctx)
+    index = {mono: i for i, mono in enumerate(standard_monomials(data.gb))}
+    span = Span(len(index), track_original=True)
+    for b in data.basis:
+        span.add({index[m]: c for m, c in b.terms.items()})
+    for a, pa in enumerate(data.basis):
+        for b, pb in enumerate(data.basis):
+            nf = normal_form(pa * pb, data.gb)
+            expansion = span.expand({index[m]: c for m, c in nf.terms.items()})
+            want = {x: c for x, c in enumerate(expansion) if c}
+            assert alg.products[a][b] == want

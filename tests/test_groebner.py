@@ -227,3 +227,33 @@ def test_cached_leads_leave_equality_and_hash_alone():
     assert "leads" not in vars(fresh)
     assert warm == fresh
     assert hash(warm) == hash(fresh)
+
+
+# -- the weight-by-weight normal-form table against normal_form --------------
+
+WEIGHT_TABLE_FORMS = {
+    "fermat_cubic": "x0^3 + x1^3 + x2^3",
+    "fermat_quartic": "x0^4 + x1^4 + x2^4 + x3^4",
+    "fermat_quintic": "x0^5 + x1^5 + x2^5 + x3^5 + x4^5",
+    "dense_quartic": "x0^4 + x1^4 + x2^4 + x3^4 + 2*x0^2*x1*x2 - x1*x2*x3^2"
+                     " + 3*x0*x1*x2*x3 - x0^2*x3^2 + x1^3*x3 - 2*x0*x2^3"
+                     " + x0*x1^2*x3 - 3*x2^2*x3^2 + x0*x1*x2^2 + 2*x1^2*x2*x3",
+    "perturbed_quintic": "x0^5 + x1^5 + x2^5 + x3^5 + x4^5 - 3*x0^2*x1*x4^2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHT_TABLE_FORMS))
+def test_weight_table_matches_normal_form(name):
+    from jmoduli import RingContext, graded_quotient, monomials_of_weight
+    from jmoduli.groebner import weight_normal_forms
+
+    f = parse_polynomial(WEIGHT_TABLE_FORMS[name])
+    ctx = RingContext(f.nvars, f.nvars)
+    gb = graded_quotient(f, ctx).gb
+    for k in range(f.nvars - 1):
+        monos = monomials_of_weight(f.nvars, k * ctx.nu)
+        table = weight_normal_forms(gb, k * ctx.nu)
+        assert list(table) == monos
+        for mono in monos:
+            want = normal_form(Polynomial.monomial(mono), gb).terms
+            assert table[mono] == want
