@@ -233,8 +233,11 @@ def cmd_deform(args) -> int:
         raise ParseError("pass g inline or with --g-file, not both", 0)
     g_text = args.g
     if args.g_file is not None:
-        with open(args.g_file, "r", encoding="utf-8") as handle:
-            g_text = handle.read()
+        try:
+            with open(args.g_file, "r", encoding="utf-8") as handle:
+                g_text = handle.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read --g-file: {exc}") from exc
     g_text = g_text.strip()
     g = (Polynomial.zero(ctx.nvars) if not g_text
          else parse_polynomial(g_text, ctx.nvars))

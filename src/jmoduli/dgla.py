@@ -26,6 +26,13 @@ of x-direction letters do not square to zero under any sign assignment
 (y would have to square to zero for that), so graded pieces never
 enumerate mixed e-words: e enters only as a one-dimensional scalar line.
 
+The first-order space L is not a second calculus: it is the slice of the
+wedge module F spanned by one-letter words whose coefficients carry y at
+most once, graded one below F (L^d sits in F1 at degree d + 1).  The cap
+on y is what makes L a subcomplex; F pieces carry every power of y.
+DerivationElement views such an element through its parts xi_parts,
+del_part and e_part, and the differential and bracket of L are those of F.
+
 The odd bracket on wedge words peels the leftmost letter:
 
     [a ^ B, C] = a ^ [B, C] + (-1)^{(|C|+1)|B|} [a, C] ^ B
@@ -54,7 +61,9 @@ from .polys import (
     Monomial,
     Polynomial,
     degrevlex_key,
+    monomial_factors,
     monomials_of_weight,
+    render_signed_sum,
 )
 
 DEL = "del"
@@ -105,6 +114,33 @@ def _check_letter(letter, nvars: int) -> None:
 
 def _render_letter(letter) -> str:
     return letter if isinstance(letter, str) else f"d{letter}"
+
+
+def _add_term(acc: dict, key, value) -> None:
+    """acc[key] += value, dropping the key when the sum cancels."""
+    c = acc.get(key, 0) + value
+    if c:
+        acc[key] = c
+    else:
+        acc.pop(key, None)
+
+
+def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(p + q for p, q in zip(a, b))
+
+
+def _common(values) -> "int | None":
+    """The value shared by all of values, or None if there are several or none."""
+    distinct = set(values)
+    return distinct.pop() if len(distinct) == 1 else None
+
+
+def _coeff_factors(mono: Monomial, yexp: int) -> list[str]:
+    """Text factors of the coefficient x^mono y^yexp."""
+    factors = monomial_factors(mono)
+    if yexp:
+        factors.append("y" if yexp == 1 else f"y^{yexp}")
+    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +212,7 @@ class TPolynomial:
         self._check(other)
         terms = dict(self.terms)
         for k, v in other.terms.items():
-            c = terms.get(k, Fraction(0)) + v
-            if c:
-                terms[k] = c
-            else:
-                terms.pop(k, None)
+            _add_term(terms, k, v)
         return TPolynomial(self.nvars, self.nu, terms)
 
     def __neg__(self) -> "TPolynomial":
@@ -195,18 +227,11 @@ class TPolynomial:
         terms: dict = {}
         for (ma, ya), ca in self.terms.items():
             for (mb, yb), cb in other.terms.items():
-                k = (tuple(a + b for a, b in zip(ma, mb)), ya + yb)
-                c = terms.get(k, Fraction(0)) + ca * cb
-                if c:
-                    terms[k] = c
-                else:
-                    del terms[k]
+                _add_term(terms, (_mono_mul(ma, mb), ya + yb), ca * cb)
         return TPolynomial(self.nvars, self.nu, terms)
 
     def scale(self, coeff) -> "TPolynomial":
         c = Fraction(coeff)
-        if not c:
-            return TPolynomial.zero(self.nvars, self.nu)
         return TPolynomial(self.nvars, self.nu,
                            {k: c * v for k, v in self.terms.items()})
 
@@ -216,16 +241,14 @@ class TPolynomial:
             ex = mono[index]
             if ex:
                 lowered = mono[:index] + (ex - 1,) + mono[index + 1:]
-                k = (lowered, yexp)
-                terms[k] = terms.get(k, Fraction(0)) + coeff * ex
+                _add_term(terms, (lowered, yexp), coeff * ex)
         return TPolynomial(self.nvars, self.nu, terms)
 
     def partial_y(self) -> "TPolynomial":
         terms: dict = {}
         for (mono, yexp), coeff in self.terms.items():
             if yexp:
-                k = (mono, yexp - 1)
-                terms[k] = terms.get(k, Fraction(0)) + coeff * yexp
+                _add_term(terms, (mono, yexp - 1), coeff * yexp)
         return TPolynomial(self.nvars, self.nu, terms)
 
     def term_weight(self, key) -> int:
@@ -233,25 +256,16 @@ class TPolynomial:
         return sum(mono) + yexp * self.nu
 
     def weight_or_none(self) -> "int | None":
-        ws = {self.term_weight(k) for k in self.terms}
-        if len(ws) == 1:
-            return ws.pop()
-        return None
+        return _common(self.term_weight(k) for k in self.terms)
 
     def degree_or_none(self) -> "int | None":
-        ds = {-yexp for (_, yexp) in self.terms}
-        if len(ds) == 1:
-            return ds.pop()
-        return None
+        return _common(-yexp for (_, yexp) in self.terms)
 
     def weight_scaled(self) -> "TPolynomial":
         """Each term multiplied by its own weight (the action of e on T)."""
-        terms: dict = {}
-        for k, v in self.terms.items():
-            c = self.term_weight(k) * v
-            if c:
-                terms[k] = c
-        return TPolynomial(self.nvars, self.nu, terms)
+        return TPolynomial(self.nvars, self.nu,
+                           {k: self.term_weight(k) * v
+                            for k, v in self.terms.items()})
 
     def to_s(self) -> Polynomial:
         if any(yexp for (_, yexp) in self.terms):
@@ -263,310 +277,9 @@ class TPolynomial:
 
 
 def render_t_polynomial(t: TPolynomial) -> str:
-    if t.is_zero():
-        return "0"
     keys = sorted(t.terms, key=lambda k: (k[1],) + degrevlex_key(k[0]),
                   reverse=True)
-    parts: list[str] = []
-    for mono, yexp in keys:
-        coeff = t.terms[(mono, yexp)]
-        factors = [f"x{i}" if e == 1 else f"x{i}^{e}"
-                   for i, e in enumerate(mono) if e]
-        if yexp == 1:
-            factors.append("y")
-        elif yexp > 1:
-            factors.append(f"y^{yexp}")
-        body = "*".join(factors)
-        mag = abs(coeff)
-        if not factors:
-            piece = str(mag)
-        elif mag == 1:
-            piece = body
-        else:
-            piece = f"{mag}*{body}"
-        if not parts:
-            parts.append(piece if coeff > 0 else f"-{piece}")
-        else:
-            parts.append(f" + {piece}" if coeff > 0 else f" - {piece}")
-    return "".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# first-order elements: coefficiented derivations plus the scaling class
-
-
-@dataclass(frozen=True)
-class DerivationElement:
-    """xi_parts[i] * d_i + del_part * del + e_part * e.
-
-    Derivation coefficients live in T; the e coefficient stays in S.
-    """
-
-    nvars: int
-    nu: int
-    xi_parts: tuple
-    del_part: TPolynomial
-    e_part: Polynomial
-
-    def __post_init__(self) -> None:
-        if len(self.xi_parts) != self.nvars:
-            raise ValueError("xi_parts must have one entry per variable")
-        for t in self.xi_parts:
-            if t.nvars != self.nvars or t.nu != self.nu:
-                raise ValueError("mixed carrier rings in xi_parts")
-        if self.del_part.nvars != self.nvars or self.del_part.nu != self.nu:
-            raise ValueError("mixed carrier ring in del_part")
-        if self.e_part.nvars != self.nvars:
-            raise ValueError("e_part arity mismatch")
-
-    @classmethod
-    def zero(cls, nvars: int, nu: int) -> "DerivationElement":
-        z = TPolynomial.zero(nvars, nu)
-        return cls(nvars, nu, (z,) * nvars, z, Polynomial.zero(nvars))
-
-    @classmethod
-    def x_direction(cls, nvars: int, nu: int, index: int,
-                    coeff: "TPolynomial | None" = None) -> "DerivationElement":
-        if not 0 <= index < nvars:
-            raise ValueError(f"direction {index} out of range")
-        z = TPolynomial.zero(nvars, nu)
-        c = coeff if coeff is not None else TPolynomial.constant(nvars, nu, 1)
-        parts = tuple(c if i == index else z for i in range(nvars))
-        return cls(nvars, nu, parts, z, Polynomial.zero(nvars))
-
-    @classmethod
-    def y_direction(cls, nvars: int, nu: int,
-                    coeff: "TPolynomial | None" = None) -> "DerivationElement":
-        z = TPolynomial.zero(nvars, nu)
-        c = coeff if coeff is not None else TPolynomial.constant(nvars, nu, 1)
-        return cls(nvars, nu, (z,) * nvars, c, Polynomial.zero(nvars))
-
-    @classmethod
-    def scaling(cls, nvars: int, nu: int,
-                coeff: "Polynomial | None" = None) -> "DerivationElement":
-        z = TPolynomial.zero(nvars, nu)
-        c = coeff if coeff is not None else Polynomial.constant(nvars, 1)
-        return cls(nvars, nu, (z,) * nvars, z, c)
-
-    def is_zero(self) -> bool:
-        return (all(t.is_zero() for t in self.xi_parts)
-                and self.del_part.is_zero() and self.e_part.is_zero())
-
-    def __add__(self, other: "DerivationElement") -> "DerivationElement":
-        self._check(other)
-        return DerivationElement(
-            self.nvars, self.nu,
-            tuple(a + b for a, b in zip(self.xi_parts, other.xi_parts)),
-            self.del_part + other.del_part,
-            self.e_part + other.e_part,
-        )
-
-    def __neg__(self) -> "DerivationElement":
-        return DerivationElement(
-            self.nvars, self.nu,
-            tuple(-t for t in self.xi_parts),
-            -self.del_part, -self.e_part,
-        )
-
-    def __sub__(self, other: "DerivationElement") -> "DerivationElement":
-        return self + (-other)
-
-    def scale(self, coeff) -> "DerivationElement":
-        return DerivationElement(
-            self.nvars, self.nu,
-            tuple(t.scale(coeff) for t in self.xi_parts),
-            self.del_part.scale(coeff),
-            self.e_part.scale(coeff),
-        )
-
-    def derivation_part(self) -> "DerivationElement":
-        return DerivationElement(self.nvars, self.nu, self.xi_parts,
-                                 self.del_part, Polynomial.zero(self.nvars))
-
-    def apply_to(self, t: TPolynomial) -> TPolynomial:
-        """Act on an element of T as a derivation.
-
-        Only the derivation part acts; a nonzero e coefficient is an
-        error since e is a scaling, not a derivation of T.
-        """
-        if not self.e_part.is_zero():
-            raise ValueError("the scaling class does not act as a derivation")
-        out = TPolynomial.zero(self.nvars, self.nu)
-        for i, c in enumerate(self.xi_parts):
-            if c:
-                out = out + c * t.partial_x(i)
-        if self.del_part:
-            out = out + self.del_part * t.partial_y()
-        return out
-
-    def degree_or_none(self) -> "int | None":
-        degs = set()
-        for t in self.xi_parts:
-            degs.update(-yexp for (_, yexp) in t.terms)
-        degs.update(-yexp + 1 for (_, yexp) in self.del_part.terms)
-        if self.e_part:
-            degs.add(-1)
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
-    def weight_or_none(self) -> "int | None":
-        ws = set()
-        for t in self.xi_parts:
-            ws.update(t.term_weight(k) - 1 for k in t.terms)
-        ws.update(self.del_part.term_weight(k) - self.nu
-                  for k in self.del_part.terms)
-        ws.update(sum(m) for m in self.e_part.terms)
-        if len(ws) == 1:
-            return ws.pop()
-        return None
-
-    def _check(self, other: "DerivationElement") -> None:
-        if self.nvars != other.nvars or self.nu != other.nu:
-            raise ValueError("mixed carrier rings")
-
-    def __repr__(self) -> str:
-        return f"DerivationElement({render_derivation(self)!r})"
-
-
-def render_derivation(v: DerivationElement) -> str:
-    chunks: list[tuple[str, Fraction]] = []
-
-    def emit(coeff_body: str, sign_carrier: Fraction, gen: str) -> None:
-        body = f"{coeff_body}*{gen}" if coeff_body else gen
-        chunks.append((body, sign_carrier))
-
-    def t_chunks(t: TPolynomial, gen: str) -> None:
-        keys = sorted(t.terms, key=lambda k: (k[1],) + degrevlex_key(k[0]),
-                      reverse=True)
-        for mono, yexp in keys:
-            coeff = t.terms[(mono, yexp)]
-            factors = [f"x{i}" if e == 1 else f"x{i}^{e}"
-                       for i, e in enumerate(mono) if e]
-            if yexp == 1:
-                factors.append("y")
-            elif yexp > 1:
-                factors.append(f"y^{yexp}")
-            mag = abs(coeff)
-            if mag != 1:
-                factors.insert(0, str(mag))
-            emit("*".join(factors), coeff, gen)
-
-    for i, t in enumerate(v.xi_parts):
-        t_chunks(t, f"d{i}")
-    t_chunks(v.del_part, DEL)
-    t_chunks(TPolynomial.from_s(v.e_part, v.nu), E)
-    if not chunks:
-        return "0"
-    parts: list[str] = []
-    for body, coeff in chunks:
-        if not parts:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(f" + {body}" if coeff > 0 else f" - {body}")
-    return "".join(parts)
-
-
-def bracket_L(a: DerivationElement, b: DerivationElement) -> DerivationElement:
-    """Commutator of derivations, extended by the weight rule for e.
-
-    [e, v] = [v, e] = wt(v) * v for weight-homogeneous v; brackets never
-    produce an e component.  The e coefficient must be constant and the
-    opposite side weight-homogeneous, otherwise the rule is undefined
-    and a ValueError is raised.
-    """
-    a._check(b)
-    nvars, nu = a.nvars, a.nu
-
-    def e_scalar(v: DerivationElement) -> Fraction:
-        if v.e_part.is_zero():
-            return Fraction(0)
-        if set(v.e_part.terms) != {(0,) * nvars}:
-            raise ValueError("bracket with a nonconstant e coefficient")
-        return v.e_part.coefficient((0,) * nvars)
-
-    ca = e_scalar(a)
-    cb = e_scalar(b)
-    a_der = a.derivation_part()
-    b_der = b.derivation_part()
-
-    def act(v: DerivationElement, t: TPolynomial) -> TPolynomial:
-        out = TPolynomial.zero(nvars, nu)
-        for i, c in enumerate(v.xi_parts):
-            if c:
-                out = out + c * t.partial_x(i)
-        if v.del_part:
-            out = out + v.del_part * t.partial_y()
-        return out
-
-    # [A, B] = sum_j A(s_j) d_j + A(v) del - sum_i B(t_i) d_i - B(u) del
-    xi_out = []
-    for j in range(nvars):
-        xi_out.append(act(a_der, b_der.xi_parts[j]) - act(b_der, a_der.xi_parts[j]))
-    del_out = act(a_der, b_der.del_part) - act(b_der, a_der.del_part)
-    result = DerivationElement(nvars, nu, tuple(xi_out), del_out,
-                               Polynomial.zero(nvars))
-
-    if ca:
-        if not b_der.is_zero():
-            w = b_der.weight_or_none()
-            if w is None:
-                raise ValueError(
-                    "e-bracket against a weight-inhomogeneous element")
-            result = result + b_der.scale(ca * w)
-    if cb:
-        if not a_der.is_zero():
-            w = a_der.weight_or_none()
-            if w is None:
-                raise ValueError(
-                    "e-bracket against a weight-inhomogeneous element")
-            result = result + a_der.scale(cb * w)
-    # [e, e] = wt(e) e = 0, so crossed e-terms contribute nothing
-    return result
-
-
-def d_f_apply(v: DerivationElement, f: Polynomial) -> DerivationElement:
-    """The differential attached to f, on first-order elements.
-
-    Raises degree by 1 and preserves weight.  Squares to zero on all of
-    the carrier space; the e-image closes because of the Euler identity
-    sum x^k f_k = nu f.
-    """
-    nvars, nu = v.nvars, v.nu
-    if f.nvars != nvars:
-        raise ValueError("arity mismatch")
-    if f.is_zero() or weight_of_or_none(f) != nu:
-        raise ValueError("f must be homogeneous of weight nu")
-    partials = [TPolynomial.from_s(f.partial_derivative(i), nu)
-                for i in range(nvars)]
-    f_t = TPolynomial.from_s(f, nu)
-    z = TPolynomial.zero(nvars, nu)
-
-    xi_out = [z] * nvars
-    del_out = z
-
-    for i, c in enumerate(v.xi_parts):
-        for (mono, yexp), coeff in c.terms.items():
-            if yexp % 2:
-                xi_out[i] = xi_out[i] + (
-                    f_t * TPolynomial.monomial(nvars, nu, mono, yexp - 1, coeff))
-            del_out = del_out + (
-                partials[i] * TPolynomial.monomial(
-                    nvars, nu, mono, yexp, coeff * _sign(yexp)))
-    for (mono, yexp), coeff in v.del_part.terms.items():
-        if yexp % 2:
-            del_out = del_out + (
-                f_t * TPolynomial.monomial(nvars, nu, mono, yexp - 1, coeff))
-    if not v.e_part.is_zero():
-        h = TPolynomial.from_s(v.e_part, nu)
-        for k in range(nvars):
-            xk = TPolynomial.monomial(
-                nvars, nu, tuple(1 if i == k else 0 for i in range(nvars)))
-            xi_out[k] = xi_out[k] + h * xk
-        del_out = del_out + (h * TPolynomial.y(nvars, nu)).scale(-nu)
-
-    return DerivationElement(nvars, nu, tuple(xi_out), del_out,
-                             Polynomial.zero(nvars))
+    return render_signed_sum((t.terms[k], _coeff_factors(*k)) for k in keys)
 
 
 # ---------------------------------------------------------------------------
@@ -610,43 +323,40 @@ class FElement:
     Coefficients are parity-neutral: they move through letters without
     signs.  Degree of a term is the word degree minus the y-exponent;
     weight adds up letter weights and the coefficient weight.
+    Arithmetic, the differential and the bracket keep the type of their
+    operands, so L views stay L views.
     """
 
     __slots__ = ("nvars", "nu", "terms")
 
     def __init__(self, nvars: int, nu: int, terms=None) -> None:
-        self.nvars = nvars
-        self.nu = nu
         cap = nvars - 2
         clean: dict = {}
-        if terms:
-            for (word, mono, yexp), coeff in terms.items():
-                if len(word) > cap:
-                    raise TruncationError(
-                        f"word of length {len(word)} exceeds the cap {cap}")
-                for letter in word:
-                    _check_letter(letter, nvars)
-                if len(mono) != nvars:
-                    raise ValueError(f"monomial {mono} has wrong arity")
-                if yexp < 0:
-                    raise ValueError("negative y exponent")
-                sw, sg = _sort_word(tuple(word), nvars)
-                if sg == 0:
-                    continue
-                c = Fraction(coeff) * sg
-                if not c:
-                    continue
-                key = (sw, tuple(mono), yexp)
-                acc = clean.get(key, Fraction(0)) + c
-                if acc:
-                    clean[key] = acc
-                else:
-                    del clean[key]
-        self.terms = clean
+        for (word, mono, yexp), coeff in (terms or {}).items():
+            if len(word) > cap:
+                raise TruncationError(
+                    f"word of length {len(word)} exceeds the cap {cap}")
+            for letter in word:
+                _check_letter(letter, nvars)
+            if len(mono) != nvars:
+                raise ValueError(f"monomial {mono} has wrong arity")
+            if yexp < 0:
+                raise ValueError("negative y exponent")
+            sw, sg = _sort_word(tuple(word), nvars)
+            if sg:
+                _add_term(clean, (sw, tuple(mono), yexp), Fraction(coeff) * sg)
+        self.nvars, self.nu, self.terms = nvars, nu, clean
+
+    @classmethod
+    def _of(cls, nvars: int, nu: int, terms: dict) -> "FElement":
+        """An element whose terms are already canonical and nonzero."""
+        out = object.__new__(cls)
+        out.nvars, out.nu, out.terms = nvars, nu, terms
+        return out
 
     @classmethod
     def zero(cls, nvars: int, nu: int) -> "FElement":
-        return cls(nvars, nu, {})
+        return cls._of(nvars, nu, {})
 
     @classmethod
     def from_t(cls, t: TPolynomial) -> "FElement":
@@ -681,128 +391,154 @@ class FElement:
         self._check(other)
         terms = dict(self.terms)
         for k, v in other.terms.items():
-            c = terms.get(k, Fraction(0)) + v
-            if c:
-                terms[k] = c
-            else:
-                terms.pop(k, None)
-        out = FElement.zero(self.nvars, self.nu)
-        out.terms = terms
-        return out
+            _add_term(terms, k, v)
+        return _result_type(self, other)._of(self.nvars, self.nu, terms)
 
     def __neg__(self) -> "FElement":
-        out = FElement.zero(self.nvars, self.nu)
-        out.terms = {k: -v for k, v in self.terms.items()}
-        return out
+        return self._of(self.nvars, self.nu,
+                        {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other: "FElement") -> "FElement":
         return self + (-other)
 
     def scale(self, coeff) -> "FElement":
         c = Fraction(coeff)
-        out = FElement.zero(self.nvars, self.nu)
-        if c:
-            out.terms = {k: c * v for k, v in self.terms.items()}
-        return out
-
-    def times_t(self, t: TPolynomial) -> "FElement":
-        """Coefficient multiplication; no signs, coefficients are even."""
-        terms: dict = {}
-        for (word, mono, yexp), v in self.terms.items():
-            for (m2, y2), c2 in t.terms.items():
-                key = (word, tuple(a + b for a, b in zip(mono, m2)), yexp + y2)
-                c = terms.get(key, Fraction(0)) + v * c2
-                if c:
-                    terms[key] = c
-                else:
-                    del terms[key]
-        out = FElement.zero(self.nvars, self.nu)
-        out.terms = terms
-        return out
+        return self._of(self.nvars, self.nu,
+                        {k: c * v for k, v in self.terms.items()} if c else {})
 
     def wedge(self, other: "FElement") -> "FElement":
         self._check(other)
-        cap = self.nvars - 2
-        terms: dict = {}
-        for (wa, xa, ya), va in self.terms.items():
-            for (wb, xb, yb), vb in other.terms.items():
-                if len(wa) + len(wb) > cap:
-                    raise TruncationError(
-                        f"wedge of lengths {len(wa)} and {len(wb)} exceeds "
-                        f"the cap {cap}")
-                sw, sg = _sort_word(wa + wb, self.nvars)
-                if sg == 0:
-                    continue
-                key = (sw, tuple(a + b for a, b in zip(xa, xb)), ya + yb)
-                c = terms.get(key, Fraction(0)) + sg * va * vb
-                if c:
-                    terms[key] = c
-                else:
-                    del terms[key]
-        out = FElement.zero(self.nvars, self.nu)
-        out.terms = terms
-        return out
-
-    def term_degree(self, key) -> int:
-        word, _, yexp = key
-        return _word_fdeg(word) - yexp
+        return FElement._of(self.nvars, self.nu, _wedge_terms(
+            self.nvars, self.nvars - 2, self.terms, other.terms))
 
     def term_weight(self, key) -> int:
         word, mono, yexp = key
         return _word_weight(word, self.nu) + sum(mono) + yexp * self.nu
 
     def degree_or_none(self) -> "int | None":
-        ds = {self.term_degree(k) for k in self.terms}
-        if len(ds) == 1:
-            return ds.pop()
-        return None
+        return _common(_word_fdeg(word) - yexp for word, _, yexp in self.terms)
 
     def weight_or_none(self) -> "int | None":
-        ws = {self.term_weight(k) for k in self.terms}
-        if len(ws) == 1:
-            return ws.pop()
-        return None
-
-    def max_word_length(self) -> int:
-        return max((len(k[0]) for k in self.terms), default=0)
+        return _common(self.term_weight(k) for k in self.terms)
 
     def __repr__(self) -> str:
-        return f"FElement({render_f_element(self)!r})"
+        return f"{type(self).__name__}({render_f_element(self)!r})"
+
+
+def _result_type(a: FElement, b: FElement) -> type:
+    """A sum or bracket stays an L view only when both operands are."""
+    return type(a) if isinstance(b, type(a)) else FElement
+
+
+class DerivationElement(FElement):
+    """xi_parts[i] * d_i + del_part * del + e_part * e, a first-order element.
+
+    An F element of one-letter words, read through its parts: derivation
+    coefficients live in T, the e coefficient stays in S.  Its degree is
+    the F degree minus one.  One-letter words are exempt from the word
+    cap, so L exists for any number of variables.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, nvars: int, nu: int, xi_parts: tuple,
+                 del_part: TPolynomial, e_part: Polynomial) -> None:
+        if len(xi_parts) != nvars:
+            raise ValueError("xi_parts must have one entry per variable")
+        for t in (*xi_parts, del_part):
+            if t.nvars != nvars or t.nu != nu:
+                raise ValueError("mixed carrier rings")
+        if e_part.nvars != nvars:
+            raise ValueError("e_part arity mismatch")
+        terms = {((letter,), mono, yexp): c
+                 for letter, t in [*enumerate(xi_parts), (DEL, del_part)]
+                 for (mono, yexp), c in t.terms.items()}
+        terms.update({((E,), mono, 0): c for mono, c in e_part.terms.items()})
+        self.nvars, self.nu, self.terms = nvars, nu, terms
+
+    @classmethod
+    def _letter(cls, nvars: int, nu: int, letter,
+                coeff: "TPolynomial | None") -> "DerivationElement":
+        c = coeff if coeff is not None else TPolynomial.constant(nvars, nu, 1)
+        if c.nvars != nvars or c.nu != nu:
+            raise ValueError("mixed carrier rings")
+        return cls._of(nvars, nu, {((letter,), mono, yexp): v
+                                   for (mono, yexp), v in c.terms.items()})
+
+    @classmethod
+    def x_direction(cls, nvars: int, nu: int, index: int,
+                    coeff: "TPolynomial | None" = None) -> "DerivationElement":
+        if not 0 <= index < nvars:
+            raise ValueError(f"direction {index} out of range")
+        return cls._letter(nvars, nu, index, coeff)
+
+    @classmethod
+    def y_direction(cls, nvars: int, nu: int,
+                    coeff: "TPolynomial | None" = None) -> "DerivationElement":
+        return cls._letter(nvars, nu, DEL, coeff)
+
+    @classmethod
+    def scaling(cls, nvars: int, nu: int,
+                coeff: "Polynomial | None" = None) -> "DerivationElement":
+        c = coeff if coeff is not None else Polynomial.constant(nvars, 1)
+        return cls._letter(nvars, nu, E, TPolynomial.from_s(c, nu))
+
+    def _part(self, letter) -> dict:
+        return {(mono, yexp): c for (word, mono, yexp), c in self.terms.items()
+                if word == (letter,)}
+
+    @property
+    def xi_parts(self) -> tuple:
+        return tuple(TPolynomial(self.nvars, self.nu, self._part(i))
+                     for i in range(self.nvars))
+
+    @property
+    def del_part(self) -> TPolynomial:
+        return TPolynomial(self.nvars, self.nu, self._part(DEL))
+
+    @property
+    def e_part(self) -> Polynomial:
+        return Polynomial(self.nvars,
+                          {mono: c for (mono, _), c in self._part(E).items()})
+
+    def degree_or_none(self) -> "int | None":
+        d = super().degree_or_none()
+        return None if d is None else d - 1
+
+    def apply_to(self, t: TPolynomial) -> TPolynomial:
+        """Act on an element of T as a derivation.
+
+        A nonzero e coefficient is an error since e is a scaling, not a
+        derivation of T.
+        """
+        out = TPolynomial.zero(self.nvars, self.nu)
+        for ((letter,), mono, yexp), c in self.terms.items():
+            if letter == E:
+                raise ValueError(
+                    "the scaling class does not act as a derivation")
+            out = out + (TPolynomial.monomial(self.nvars, self.nu, mono, yexp, c)
+                         * _letter_act(letter, t))
+        return out
 
 
 def render_f_element(a: FElement) -> str:
-    if a.is_zero():
-        return "0"
-
     def sort_key(key):
         word, mono, yexp = key
         ranks = tuple(_letter_rank(l, a.nvars) for l in word)
         return (len(word), ranks, yexp) + degrevlex_key(mono)
 
-    parts: list[str] = []
-    for key in sorted(a.terms, key=sort_key):
+    def factors(key) -> list[str]:
         word, mono, yexp = key
-        coeff = a.terms[key]
-        factors = [f"x{i}" if e == 1 else f"x{i}^{e}"
-                   for i, e in enumerate(mono) if e]
-        if yexp == 1:
-            factors.append("y")
-        elif yexp > 1:
-            factors.append(f"y^{yexp}")
-        mag = abs(coeff)
-        if mag != 1 or (not factors and not word):
-            factors.insert(0, str(mag))
-        body = "*".join(factors)
-        wtxt = "∧".join(_render_letter(l) for l in word)
-        if body and wtxt:
-            piece = f"{body}*{wtxt}"
-        else:
-            piece = body or wtxt
-        if not parts:
-            parts.append(piece if coeff > 0 else f"-{piece}")
-        else:
-            parts.append(f" + {piece}" if coeff > 0 else f" - {piece}")
-    return "".join(parts)
+        out = _coeff_factors(mono, yexp)
+        if word:
+            out.append("∧".join(_render_letter(l) for l in word))
+        return out
+
+    return render_signed_sum((a.terms[k], factors(k))
+                             for k in sorted(a.terms, key=sort_key))
+
+
+render_derivation = render_f_element
 
 
 def _letter_act(letter, t: TPolynomial) -> TPolynomial:
@@ -814,66 +550,64 @@ def _letter_act(letter, t: TPolynomial) -> TPolynomial:
     return t.partial_x(letter)
 
 
-def d_f_apply_F(a: FElement, f: Polynomial) -> FElement:
-    """Differential on wedge words.
+# ---------------------------------------------------------------------------
+# the differential
 
-    Two contributions per term: the coefficient rule d(y^b) =
-    (b mod 2) f y^{b-1}, and letter replacement d_i -> f_i del and
-    e -> sum x^k d_k - nu y del behind a Koszul sign that counts the
+
+def _differential(f: Polynomial, nvars: int, nu: int):
+    """d_f as a function on F elements over (nvars, nu).
+
+    f is checked and its partial derivatives are taken here, once per
+    differential.  Two contributions per term: the coefficient rule
+    d(y^b) = (b mod 2) f y^{b-1}, and letter replacement d_i -> f_i del
+    and e -> sum x^k d_k - nu y del behind a Koszul sign that counts the
     degree parity of the coefficient and of the letters crossed.
     """
-    nvars, nu = a.nvars, a.nu
     if f.nvars != nvars:
         raise ValueError("arity mismatch")
     if f.is_zero() or weight_of_or_none(f) != nu:
         raise ValueError("f must be homogeneous of weight nu")
-    partials = [f.partial_derivative(i) for i in range(nvars)]
-    f_t = TPolynomial.from_s(f, nu)
+    f_terms = tuple(f.terms.items())
+    # letter -> (replacement letter, y shift, coefficient terms) triples
+    images = {i: [(DEL, 0, tuple(f.partial_derivative(i).terms.items()))]
+              for i in range(nvars)}
+    images[E] = [(k, 0, ((tuple(int(i == k) for i in range(nvars)), 1),))
+                 for k in range(nvars)]
+    images[E].append((DEL, 1, (((0,) * nvars, -nu),)))
 
-    out: dict = {}
+    def apply(a: FElement) -> FElement:
+        out: dict = {}
+        for (word, mono, yexp), v in a.terms.items():
+            if yexp % 2:
+                for m, c in f_terms:
+                    _add_term(out, (word, _mono_mul(mono, m), yexp - 1), v * c)
+            crossed = yexp
+            for pos, letter in enumerate(word):
+                for new, dy, coeff in images.get(letter, ()):
+                    sw, sg = _sort_word(word[:pos] + (new,) + word[pos + 1:],
+                                        nvars)
+                    if not sg:
+                        continue
+                    s = sg * _sign(crossed) * v
+                    for m, c in coeff:
+                        _add_term(out, (sw, _mono_mul(mono, m), yexp + dy),
+                                  s * c)
+                crossed += _letter_fdeg(letter)
+        return a._of(a.nvars, a.nu, out)
 
-    def accumulate(word, coeff: TPolynomial, sign: int) -> None:
-        sw, sg = _sort_word(word, nvars)
-        if sg == 0:
-            return
-        s = sg * sign
-        for (mono, yexp), v in coeff.terms.items():
-            key = (sw, mono, yexp)
-            c = out.get(key, Fraction(0)) + s * v
-            if c:
-                out[key] = c
-            else:
-                del out[key]
+    return apply
 
-    for (word, mono, yexp), v in a.terms.items():
-        base = TPolynomial.monomial(nvars, nu, mono, yexp, v)
-        if yexp % 2:
-            accumulate(word,
-                       f_t * TPolynomial.monomial(nvars, nu, mono, yexp - 1, v),
-                       1)
-        coeff_sign = _sign(yexp)
-        for pos, letter in enumerate(word):
-            if letter == DEL:
-                continue
-            crossed = _sign(sum(_letter_fdeg(l) for l in word[:pos]))
-            sgn = coeff_sign * crossed
-            left, right = word[:pos], word[pos + 1:]
-            if letter == E:
-                for k in range(nvars):
-                    xk = TPolynomial.monomial(
-                        nvars, nu,
-                        tuple(1 if i == k else 0 for i in range(nvars)))
-                    accumulate(left + (k,) + right, base * xk, sgn)
-                accumulate(left + (DEL,) + right,
-                           (base * TPolynomial.y(nvars, nu)).scale(-nu), sgn)
-            else:
-                accumulate(left + (DEL,) + right,
-                           base * TPolynomial.from_s(partials[letter], nu),
-                           sgn)
 
-    result = FElement.zero(nvars, nu)
-    result.terms = out
-    return result
+def d_f_apply_F(a: FElement, f: Polynomial) -> FElement:
+    """The differential attached to f, on wedge words.
+
+    Raises degree by 1, preserves weight and squares to zero; on the
+    first-order slice L it is the differential of the first-order complex.
+    """
+    return _differential(f, a.nvars, a.nu)(a)
+
+
+d_f_apply = d_f_apply_F
 
 
 # ---------------------------------------------------------------------------
@@ -894,53 +628,34 @@ def _base_bracket(nvars: int, nu: int, ka, va: Fraction, kb,
         return {}
     t = TPolynomial.monomial(nvars, nu, xa, ya, va)
     s = TPolynomial.monomial(nvars, nu, xb, yb, vb)
-    if wa and not wb:
+    if not wb:
         acted = t * _letter_act(wa[0], s)
         return {((), m, y): c for (m, y), c in acted.terms.items()}
-    if not wa and wb:
+    if not wa:
         acted = (s * _letter_act(wb[0], t)).scale(-1)
         return {((), m, y): c for (m, y), c in acted.terms.items()}
     l1, l2 = wa[0], wb[0]
-    if l1 == E or l2 == E:
-        if l1 == E and l2 == E:
+    if E in (l1, l2):
+        if l1 == l2:
             return {}
-        if l1 == E:
-            if xa != (0,) * nvars or ya != 0:
-                raise ValueError("bracket with a nonconstant e coefficient")
-            w = _letter_weight(l2, nu) + sum(xb) + yb * nu
-            c = va * vb * w
-            return {(wb, xb, yb): c} if c else {}
-        if xb != (0,) * nvars or yb != 0:
+        # the weight rule is symmetric: scale the other term by its weight
+        (_, xe, ye), (wo, xo, yo) = (ka, kb) if l1 == E else (kb, ka)
+        if xe != (0,) * nvars or ye != 0:
             raise ValueError("bracket with a nonconstant e coefficient")
-        w = _letter_weight(l1, nu) + sum(xa) + ya * nu
-        c = va * vb * w
-        return {(wa, xa, ya): c} if c else {}
+        c = va * vb * (_letter_weight(wo[0], nu) + sum(xo) + yo * nu)
+        return {(wo, xo, yo): c} if c else {}
     # [t l1, s l2] = t l1(s) l2 - s l2(t) l1
     out: dict = {}
     for (m, y), c in (t * _letter_act(l1, s)).terms.items():
-        key = ((l2,), m, y)
-        acc = out.get(key, Fraction(0)) + c
-        if acc:
-            out[key] = acc
-        else:
-            del out[key]
+        _add_term(out, ((l2,), m, y), c)
     for (m, y), c in (s * _letter_act(l2, t)).terms.items():
-        key = ((l1,), m, y)
-        acc = out.get(key, Fraction(0)) - c
-        if acc:
-            out[key] = acc
-        else:
-            del out[key]
+        _add_term(out, ((l1,), m, y), -c)
     return out
 
 
-def _merge(acc: dict, inc: dict, scale: Fraction = Fraction(1)) -> None:
+def _merge(acc: dict, inc: dict, scale: int = 1) -> None:
     for k, v in inc.items():
-        c = acc.get(k, Fraction(0)) + scale * v
-        if c:
-            acc[k] = c
-        else:
-            acc.pop(k, None)
+        _add_term(acc, k, scale * v)
 
 
 def _wedge_terms(nvars: int, cap: int, a: dict, b: dict) -> dict:
@@ -952,14 +667,8 @@ def _wedge_terms(nvars: int, cap: int, a: dict, b: dict) -> dict:
                     f"wedge of lengths {len(wa)} and {len(wb)} exceeds "
                     f"the cap {cap}")
             sw, sg = _sort_word(wa + wb, nvars)
-            if sg == 0:
-                continue
-            key = (sw, tuple(p + q for p, q in zip(xa, xb)), ya + yb)
-            c = out.get(key, Fraction(0)) + sg * va * vb
-            if c:
-                out[key] = c
-            else:
-                del out[key]
+            if sg:
+                _add_term(out, (sw, _mono_mul(xa, xb), ya + yb), sg * va * vb)
     return out
 
 
@@ -986,14 +695,11 @@ def _bracket_terms(nvars: int, nu: int, cap: int, ka, va: Fraction,
         _merge(out, _wedge_terms(nvars, cap, {head: va}, inner))
         sg = _sign((len(wb) + 1) * (len(wa) - 1))
         outer = _bracket_terms(nvars, nu, cap, head, va, kb, vb)
-        _merge(out, _wedge_terms(nvars, cap, outer, {rest: Fraction(1)}),
-               Fraction(sg))
+        _merge(out, _wedge_terms(nvars, cap, outer, {rest: Fraction(1)}), sg)
         return out
     rev = -_sign((len(wa) - 1) * (len(wb) - 1))
     flipped = _bracket_terms(nvars, nu, cap, kb, vb, ka, va)
-    out = {}
-    _merge(out, flipped, Fraction(rev))
-    return out
+    return {k: rev * v for k, v in flipped.items()}
 
 
 def schouten_bracket_F(a: FElement, b: FElement) -> FElement:
@@ -1011,9 +717,23 @@ def schouten_bracket_F(a: FElement, b: FElement) -> FElement:
     for ka, va in a.terms.items():
         for kb, vb in b.terms.items():
             _merge(out, _bracket_terms(nvars, nu, cap, ka, va, kb, vb))
-    result = FElement.zero(nvars, nu)
-    result.terms = out
-    return result
+    return _result_type(a, b)._of(nvars, nu, out)
+
+
+def bracket_L(a: DerivationElement, b: DerivationElement) -> DerivationElement:
+    """Commutator of derivations, extended by the weight rule for e.
+
+    The odd bracket on one-letter words: [e, v] = [v, e] = wt(v) * v and
+    brackets never produce an e component.  The rule needs a constant e
+    coefficient and a weight-homogeneous opposite side; otherwise it is
+    undefined and a ValueError is raised.
+    """
+    for u, v in ((a, b), (b, a)):
+        if any(word == (E,) for word, _, _ in u.terms):
+            if len({v.term_weight(k) for k in v.terms if k[0] != (E,)}) > 1:
+                raise ValueError(
+                    "e-bracket against a weight-inhomogeneous element")
+    return schouten_bracket_F(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -1042,109 +762,53 @@ def graded_piece(f: Polynomial, degree: int, weight: int,
                  space: str = "L") -> GradedPiece:
     """Monomial basis of the (degree, weight) piece of L or of F^k.
 
-    The first-order space L is spanned over S by the five generator
-    shapes x^a y d_i, x^a d_i, x^a y del, x^a del together with the
-    scalar line through e; its nonzero degrees are -1, 0, 1.  This is a
-    subcomplex: the differential maps each shape into the others.
-
     For space "Fk" (word length k) the enumeration covers all e-free
     canonical words of that length; the degree pins the y-exponent of
     the coefficient, so pieces stay finite.  The scalar e line appears
-    in F1 at degree 0, weight 0, matching its role in L shifted by one.
+    in F1 at degree 0, weight 0.
+
+    L^d is the part of F1 at degree d + 1 whose coefficients carry y at
+    most once, returned as DerivationElement views: the five generator
+    shapes x^a y d_i, x^a d_i, x^a y del, x^a del and the line through e,
+    in degrees -1, 0, 1.  The cap on y makes it a subcomplex: the
+    differential maps each shape into the others.
     """
     nvars, nu = _context_of(f)
     if space == "L":
-        basis: list = []
-        if degree == -1:
-            if weight == 0:
-                basis.append(DerivationElement.scaling(nvars, nu))
-            for i in range(nvars):
-                for mono in monomials_of_weight(nvars, weight - nu + 1):
-                    basis.append(DerivationElement.x_direction(
-                        nvars, nu, i,
-                        TPolynomial.monomial(nvars, nu, mono, 1)))
-        elif degree == 0:
-            for i in range(nvars):
-                for mono in monomials_of_weight(nvars, weight + 1):
-                    basis.append(DerivationElement.x_direction(
-                        nvars, nu, i,
-                        TPolynomial.monomial(nvars, nu, mono, 0)))
-            for mono in monomials_of_weight(nvars, weight):
-                basis.append(DerivationElement.y_direction(
-                    nvars, nu, TPolynomial.monomial(nvars, nu, mono, 1)))
-        elif degree == 1:
-            for mono in monomials_of_weight(nvars, weight + nu):
-                basis.append(DerivationElement.y_direction(
-                    nvars, nu, TPolynomial.monomial(nvars, nu, mono, 0)))
-        return GradedPiece(degree, weight, tuple(basis))
-
-    text = space.replace("^", "")
-    if not text.startswith("F") or not text[1:].isdigit():
-        raise ValueError(f"unknown space {space!r}; expected 'L' or 'Fk'")
-    k = int(text[1:])
-    cap = nvars - 2
-    if not 0 <= k <= cap:
-        raise ValueError(f"word length {k} outside 0..{cap}")
-    basis = []
-    words: list[tuple] = []
-    if k == 0:
-        words.append(())
+        cls, k, fdeg, ymax = DerivationElement, 1, degree + 1, 1
     else:
-        for ndel in range(k + 1):
-            for subset in combinations(range(nvars), k - ndel):
-                words.append(tuple(subset) + (DEL,) * ndel)
+        text = space.replace("^", "")
+        if not text.startswith("F") or not text[1:].isdigit():
+            raise ValueError(f"unknown space {space!r}; expected 'L' or 'Fk'")
+        k = int(text[1:])
+        cap = nvars - 2
+        if not 0 <= k <= cap:
+            raise ValueError(f"word length {k} outside 0..{cap}")
+        cls, fdeg, ymax = FElement, degree, None
+    words = [tuple(subset) + (DEL,) * ndel
+             for ndel in range(k + 1)
+             for subset in combinations(range(nvars), k - ndel)]
+    basis = []
     for word in words:
-        yexp = _word_fdeg(word) - degree
-        if yexp < 0:
+        yexp = _word_fdeg(word) - fdeg
+        if yexp < 0 or (ymax is not None and yexp > ymax):
             continue
         xw = weight - yexp * nu - _word_weight(word, nu)
-        for mono in monomials_of_weight(nvars, xw):
-            basis.append(FElement.word(
-                nvars, nu, word,
-                TPolynomial.monomial(nvars, nu, mono, yexp)))
-    if k == 1 and degree == 0 and weight == 0:
-        basis.append(FElement.word(nvars, nu, (E,)))
+        basis += [cls._of(nvars, nu, {(word, mono, yexp): Fraction(1)})
+                  for mono in monomials_of_weight(nvars, xw)]
+    if k == 1 and fdeg == 0 and weight == 0:
+        basis.append(cls._of(nvars, nu, {((E,), (0,) * nvars, 0): Fraction(1)}))
     return GradedPiece(degree, weight, tuple(basis))
 
 
-def _derivation_coords(v: DerivationElement, index: dict) -> "dict[int, Fraction]":
-    out = {}
-    for i, t in enumerate(v.xi_parts):
-        for (mono, yexp), c in t.terms.items():
-            out[index[("xi", i, mono, yexp)]] = c
-    for (mono, yexp), c in v.del_part.terms.items():
-        out[index[("del", 0, mono, yexp)]] = c
-    for mono, c in v.e_part.terms.items():
-        out[index[("e", 0, mono, 0)]] = c
-    return out
-
-
-def _piece_index(piece: GradedPiece) -> dict:
-    index: dict = {}
-    for col, v in enumerate(piece.basis):
-        key = None
-        for i, t in enumerate(v.xi_parts):
-            for (mono, yexp), _ in t.terms.items():
-                key = ("xi", i, mono, yexp)
-        for (mono, yexp), _ in v.del_part.terms.items():
-            key = ("del", 0, mono, yexp)
-        for mono, _ in v.e_part.terms.items():
-            key = ("e", 0, mono, 0)
-        if key is None or key in index:
-            raise RuntimeError("piece basis is not monomial")
-        index[key] = col
-    return index
-
-
-def _boundary_rank(f: Polynomial, src: GradedPiece, dst: GradedPiece) -> int:
+def _boundary_rank(d_f, src: GradedPiece, dst: GradedPiece) -> int:
     if not src.basis:
         return 0
-    index = _piece_index(dst)
+    index = {key: col for col, b in enumerate(dst.basis) for key in b.terms}
     rows = []
     for v in src.basis:
-        image = d_f_apply(v, f)
         try:
-            rows.append(_derivation_coords(image, index))
+            rows.append({index[k]: c for k, c in d_f(v).terms.items()})
         except KeyError as exc:
             raise RuntimeError(
                 f"differential left the enumerated piece at {exc}") from exc
@@ -1156,11 +820,12 @@ def cohomology_report(f: Polynomial, degree: int, weight: int) -> dict:
 
     Returns piece, kernel, incoming-image and cohomology dimensions.
     """
+    d_f = _differential(f, *_context_of(f))
     here = graded_piece(f, degree, weight, "L")
     above = graded_piece(f, degree + 1, weight, "L")
     below = graded_piece(f, degree - 1, weight, "L")
-    rank_out = _boundary_rank(f, here, above)
-    rank_in = _boundary_rank(f, below, here)
+    rank_out = _boundary_rank(d_f, here, above)
+    rank_in = _boundary_rank(d_f, below, here)
     dim_ker = here.dimension - rank_out
     return {
         "dim_piece": here.dimension,

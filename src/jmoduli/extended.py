@@ -15,13 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groebner import normal_form, standard_monomials, weight_normal_forms
+from .groebner import normal_form, weight_normal_forms
 from .jacobian import (
     DeformedSubalgebraData,
     GradedQuotientData,
     SingularInputError,
     deformed_subalgebra,
     graded_quotient,
+    std_coordinates,
 )
 from .linalg import Span
 from .polys import Polynomial, RingContext, render_polynomial
@@ -178,13 +179,8 @@ def extended_from_closure(
     basis by exact elimination; a product falling outside the span is an
     internal error (closure guarantees membership).
     """
-    std = standard_monomials(data.gb)
-    index = {mono: i for i, mono in enumerate(std)}
-
-    def coords(p: Polynomial) -> dict[int, Fraction]:
-        return {index[mono]: coeff for mono, coeff in p.terms.items()}
-
-    span = Span(len(std), track_original=True)
+    coords = std_coordinates(data.standard_basis)
+    span = Span(len(data.standard_basis), track_original=True)
     for b in data.basis:
         if not span.add(coords(b)):
             raise RuntimeError("stored closure basis is linearly dependent")

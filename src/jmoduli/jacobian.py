@@ -128,11 +128,22 @@ def weight_of_or_none(p: Polynomial) -> int | None:
     return None
 
 
+def std_coordinates(std: tuple[Monomial, ...]):
+    """The map taking a normal form to its sparse coordinates over std."""
+    index = {mono: i for i, mono in enumerate(std)}
+
+    def coords(p: Polynomial) -> dict[int, Fraction]:
+        return {index[mono]: coeff for mono, coeff in p.terms.items()}
+
+    return coords
+
+
 @dataclass(frozen=True)
 class DeformedSubalgebraData:
     """R_{f+g}: the subalgebra of S/J_{f+g} generated by weights k*nu."""
 
     gb: GroebnerBasis
+    standard_basis: tuple[Monomial, ...]
     generators_nf: tuple[Polynomial, ...]
     basis: tuple[Polynomial, ...]
     stabilized_at: int
@@ -177,13 +188,9 @@ def deformed_subalgebra(
     gb = buchberger(partials, max_pairs=max_pairs)
     if not is_zero_dimensional(gb):
         raise SingularDeformationError("deformation is singular")
-    std = standard_monomials(gb)
-    index = {mono: i for i, mono in enumerate(std)}
+    std = tuple(standard_monomials(gb))
     nstd = len(std)
-
-    def coords(p: Polynomial) -> dict[int, Fraction]:
-        return {index[mono]: coeff for mono, coeff in p.terms.items()}
-
+    coords = std_coordinates(std)
     weight_nu = monomials_of_weight(ctx.nvars, ctx.nu)
     one = normal_form(Polynomial.constant(ctx.nvars, 1), gb)
     if one.is_zero():
@@ -234,4 +241,5 @@ def deformed_subalgebra(
                 break
             extra_left -= 1
         layer = next_layer
-    return DeformedSubalgebraData(gb, generators_nf, tuple(basis), stabilized_at)
+    return DeformedSubalgebraData(gb, std, generators_nf, tuple(basis),
+                                  stabilized_at)

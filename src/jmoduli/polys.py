@@ -18,7 +18,7 @@ coefficient; there is no unary minus in front of a bare factor.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 Monomial = tuple[int, ...]
 
@@ -395,28 +395,29 @@ def parse_polynomial(text: str, nvars: int | None = None) -> Polynomial:
     return Polynomial(nvars, acc)
 
 
-def render_polynomial(p: Polynomial) -> str:
-    """Inverse of parse_polynomial: descending degrevlex, canonical text."""
-    if p.is_zero():
-        return "0"
+def monomial_factors(mono: Monomial) -> list[str]:
+    """The factors x_i or x_i^e of a monomial, in variable order."""
+    return [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(mono) if e]
+
+
+def render_signed_sum(terms: Iterable[tuple[Fraction, list[str]]]) -> str:
+    """Text of a sum of (coefficient, factor strings) pairs, in the order
+    given: a coefficient of magnitude 1 is left out unless the term has no
+    factors, and signs join the terms."""
     parts: list[str] = []
-    for mono in sorted(p.terms, key=degrevlex_key, reverse=True):
-        coeff = p.terms[mono]
-        factors = [
-            f"x{i}" if e == 1 else f"x{i}^{e}"
-            for i, e in enumerate(mono)
-            if e
-        ]
-        body = "*".join(factors)
+    for coeff, factors in terms:
         mag = abs(coeff)
-        if not factors:
-            piece = str(mag)
-        elif mag == 1:
-            piece = body
-        else:
-            piece = f"{mag}*{body}"
+        piece = "*".join(factors if factors and mag == 1
+                         else [str(mag), *factors])
         if not parts:
             parts.append(piece if coeff > 0 else f"-{piece}")
         else:
             parts.append(f" + {piece}" if coeff > 0 else f" - {piece}")
-    return "".join(parts)
+    return "".join(parts) or "0"
+
+
+def render_polynomial(p: Polynomial) -> str:
+    """Inverse of parse_polynomial: descending degrevlex, canonical text."""
+    return render_signed_sum(
+        (p.terms[mono], monomial_factors(mono))
+        for mono in sorted(p.terms, key=degrevlex_key, reverse=True))

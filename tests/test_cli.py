@@ -148,6 +148,16 @@ def test_deform_g_file(tmp_path, capsys):
     assert code == 2
 
 
+def test_deform_unreadable_g_file(tmp_path, capsys):
+    # a missing file and a directory: exit 2 with one line, no traceback
+    for path in (tmp_path / "missing.txt", tmp_path):
+        code, out, err = run(capsys, ["deform", CUBIC, "--g-file", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invalid input: cannot read --g-file: ")
+        assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("degree,weight,h_dim", [(1, -3, 1), (-1, 0, 0), (1, 0, 1)])
 def test_dgla_spot_values(capsys, degree, weight, h_dim):
     code, report, _ = run_json(

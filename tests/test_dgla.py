@@ -292,6 +292,132 @@ def test_cohomology_report_fields():
 
 
 # ---------------------------------------------------------------------------
+# oracles: the first-order pieces, differential and bracket written
+# generator by generator on the parts (xi_parts, del_part, e_part) in T
+# arithmetic; L, as the one-letter slice of F, must agree with them
+
+
+def oracle_l_piece(f, degree, weight):
+    """Basis of L^(degree, weight) from the five generator shapes."""
+    nvars, nu = f.nvars, sum(next(iter(f.terms)))
+    basis = []
+    if degree == -1:
+        if weight == 0:
+            basis.append(DerivationElement.scaling(nvars, nu))
+        for i in range(nvars):
+            for mono in monomials_of_weight(nvars, weight - nu + 1):
+                basis.append(DerivationElement.x_direction(
+                    nvars, nu, i, t_mono(nvars, nu, mono, 1)))
+    elif degree == 0:
+        for i in range(nvars):
+            for mono in monomials_of_weight(nvars, weight + 1):
+                basis.append(DerivationElement.x_direction(
+                    nvars, nu, i, t_mono(nvars, nu, mono)))
+        for mono in monomials_of_weight(nvars, weight):
+            basis.append(DerivationElement.y_direction(
+                nvars, nu, t_mono(nvars, nu, mono, 1)))
+    elif degree == 1:
+        for mono in monomials_of_weight(nvars, weight + nu):
+            basis.append(DerivationElement.y_direction(
+                nvars, nu, t_mono(nvars, nu, mono)))
+    return basis
+
+
+def oracle_act(v, t):
+    out = TPolynomial.zero(v.nvars, v.nu)
+    for i, c in enumerate(v.xi_parts):
+        if c:
+            out = out + c * t.partial_x(i)
+    if v.del_part:
+        out = out + v.del_part * t.partial_y()
+    return out
+
+
+def oracle_d_f(v, f):
+    """d_f on xi * d + del_part * del + e_part * e, generator by generator."""
+    nvars, nu = v.nvars, v.nu
+    partials = [TPolynomial.from_s(f.partial_derivative(i), nu)
+                for i in range(nvars)]
+    f_t = TPolynomial.from_s(f, nu)
+    z = TPolynomial.zero(nvars, nu)
+    xi_out = [z] * nvars
+    del_out = z
+    for i, c in enumerate(v.xi_parts):
+        for (mono, yexp), coeff in c.terms.items():
+            if yexp % 2:
+                xi_out[i] = xi_out[i] + f_t * t_mono(nvars, nu, mono,
+                                                     yexp - 1, coeff)
+            sign = -1 if yexp % 2 else 1
+            del_out = del_out + partials[i] * t_mono(nvars, nu, mono, yexp,
+                                                     coeff * sign)
+    for (mono, yexp), coeff in v.del_part.terms.items():
+        if yexp % 2:
+            del_out = del_out + f_t * t_mono(nvars, nu, mono, yexp - 1, coeff)
+    if not v.e_part.is_zero():
+        h = TPolynomial.from_s(v.e_part, nu)
+        for k in range(nvars):
+            xk = t_mono(nvars, nu, tuple(int(i == k) for i in range(nvars)))
+            xi_out[k] = xi_out[k] + h * xk
+        del_out = del_out + (h * TPolynomial.y(nvars, nu)).scale(-nu)
+    return DerivationElement(nvars, nu, tuple(xi_out), del_out,
+                             Polynomial.zero(nvars))
+
+
+def oracle_bracket(a, b):
+    """Commutator of the derivation parts plus the weight rule for e."""
+    nvars, nu = a.nvars, a.nu
+    zero_e = Polynomial.zero(nvars)
+
+    def e_scalar(v):
+        if v.e_part.is_zero():
+            return Fraction(0)
+        assert set(v.e_part.terms) == {(0,) * nvars}
+        return v.e_part.coefficient((0,) * nvars)
+
+    a_der = DerivationElement(nvars, nu, a.xi_parts, a.del_part, zero_e)
+    b_der = DerivationElement(nvars, nu, b.xi_parts, b.del_part, zero_e)
+    xi_out = tuple(oracle_act(a_der, b_der.xi_parts[j])
+                   - oracle_act(b_der, a_der.xi_parts[j])
+                   for j in range(nvars))
+    del_out = (oracle_act(a_der, b_der.del_part)
+               - oracle_act(b_der, a_der.del_part))
+    result = DerivationElement(nvars, nu, xi_out, del_out, zero_e)
+    for c, other in ((e_scalar(a), b_der), (e_scalar(b), a_der)):
+        if c and not other.is_zero():
+            result = result + other.scale(c * other.weight_or_none())
+    return result
+
+
+ORACLE_FORMS = {
+    "cubic": (CUBIC, 770),
+    "quartic": (QUARTIC, 5680),
+    "quartic-x0x1x2x3": (
+        parse_polynomial("x0^4 + x1^4 + x2^4 + x3^4 + x0*x1*x2*x3"), 5680),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FORMS))
+def test_l_calculus_matches_oracles(name):
+    f, count = ORACLE_FORMS[name]
+    nu = f.nvars
+    basis = []
+    for degree in (-1, 0, 1):
+        for weight in range(-2 * nu, 2 * nu + 1):
+            piece = graded_piece(f, degree, weight)
+            want = oracle_l_piece(f, degree, weight)
+            assert sorted(map(render_derivation, piece.basis)) == sorted(
+                map(render_derivation, want))
+            basis.extend(piece.basis)
+    assert len(basis) == count
+    for v in basis:
+        assert d_f_apply(v, f) == oracle_d_f(v, f), render_derivation(v)
+    rng = random.Random(20261018)
+    for _ in range(600):
+        a, b = rng.choice(basis), rng.choice(basis)
+        assert bracket_L(a, b) == oracle_bracket(a, b), (a, b)
+
+
+# ---------------------------------------------------------------------------
 # wedge words
 
 
@@ -401,6 +527,15 @@ def test_f_differential_restricts_to_l():
     for v, a in pairs:
         assert embed(v) == a
         assert embed(d_f_apply(v, CUBIC)) == d_f_apply_F(a, CUBIC)
+
+
+def test_l_views_mixed_with_longer_words_are_f_elements():
+    d0 = DerivationElement.x_direction(4, 4, 0)
+    d01 = FElement.word(4, 4, (0, 1))
+    assert type(d0 + d0) is DerivationElement
+    assert type(d0 + d01) is FElement and type(d01 + d0) is FElement
+    assert type(schouten_bracket_F(d0, d01)) is FElement
+    assert type(d_f_apply(d0, QUARTIC)) is DerivationElement
 
 
 def test_f_differential_coefficient_rule():

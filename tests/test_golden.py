@@ -36,6 +36,14 @@ CASES = {
     "deform_quartic_transverse": ["deform", QUARTIC, "x0*x1*x2*x3"],
     "deform_quartic_jump": ["deform", QUARTIC, "x0^8"],
     "dgla_quintic": ["dgla", QUINTIC, "--degree", "1", "--weight", "2"],
+    "dgla_quartic_low": ["dgla", QUARTIC, "--degree", "-1", "--weight", "6"],
+    "dgla_quartic_mid": ["dgla", QUARTIC, "--degree", "0", "--weight", "4"],
+    "dgla_quintic_perturbed": ["dgla", QUINTIC + " + 2*x0^2*x1^2*x2",
+                               "--degree", "1", "--weight", "2"],
+    # one-letter words of L in two and one variables, where F has no room
+    # for words at all
+    "dgla_conic": ["dgla", "x0^2 + x1^2", "--degree", "0", "--weight", "0"],
+    "dgla_linear": ["dgla", "x0", "--degree", "0", "--weight", "0"],
 }
 
 
