@@ -57,11 +57,13 @@ EXIT_BUDGET = 3
 
 
 class _Budget:
-    """Coarse wall-clock budget, checked between pipeline stages."""
+    """Wall-clock budget, checked between pipeline stages and, through
+    deadline, once per pair inside Buchberger."""
 
     def __init__(self, seconds: float) -> None:
         self.seconds = seconds
         self.start = time.perf_counter()
+        self.deadline = self.start + seconds if seconds else None
 
     def check(self, stage: str) -> None:
         if self.seconds and time.perf_counter() - self.start > self.seconds:
@@ -118,6 +120,8 @@ def _parse_f(args) -> tuple[Polynomial, RingContext]:
     nu = weight_of_or_none(f)
     if nu is None:
         raise SingularInputError("f is not homogeneous")
+    if nu == 0:
+        raise SingularInputError("f is constant")
     return f, RingContext(f.nvars, nu)
 
 
@@ -131,7 +135,7 @@ def _emit(args, report: dict, lines: list, warning: "str | None") -> None:
             print(line)
 
 
-def _report(command: str, f: Polynomial, ctx: "RingContext | None",
+def _report(command: str, f: Polynomial, nu: "int | None",
             g: "Polynomial | None", result: dict, started: float) -> dict:
     return {
         "command": command,
@@ -139,7 +143,7 @@ def _report(command: str, f: Polynomial, ctx: "RingContext | None",
             "f": render_polynomial(f),
             "g": render_polynomial(g) if g is not None else None,
             "nvars": f.nvars,
-            "nu": ctx.nu if ctx is not None else None,
+            "nu": nu,
         },
         "result": result,
         "timing_ms": int(round((time.perf_counter() - started) * 1000)),
@@ -159,7 +163,8 @@ def cmd_check(args) -> int:
     nonsingular = zero_quotient = False
     if homogeneous:
         budget.check("parse")
-        gb = jacobian_gb(f, max_pairs=args.max_pairs)
+        gb = jacobian_gb(f, max_pairs=args.max_pairs,
+                         deadline=budget.deadline)
         nonsingular = gb is not None and is_zero_dimensional(gb)
         zero_quotient = nonsingular and (0,) * f.nvars in gb.leads
     passed = homogeneous and calabi_yau and nonsingular
@@ -175,8 +180,7 @@ def cmd_check(args) -> int:
         "nonsingular": nonsingular,
         "pass": passed,
     }
-    ctx_or_none = RingContext(f.nvars, nu) if homogeneous else None
-    report = _report("check", f, ctx_or_none, None, result, started)
+    report = _report("check", f, nu, None, result, started)
     lines = [
         f"f = {render_polynomial(f)}  (nvars {f.nvars})",
         f"homogeneous:  {'yes' if homogeneous else 'no'}"
@@ -194,7 +198,8 @@ def cmd_moduli(args) -> int:
     budget = _Budget(args.timeout_s)
     f, ctx = _parse_f(args)
     budget.check("parse")
-    data = graded_quotient(f, ctx, max_pairs=args.max_pairs)
+    data = graded_quotient(f, ctx, max_pairs=args.max_pairs,
+                           deadline=budget.deadline)
     budget.check("groebner")
     alg = extended_from_quotient(data, ctx)
     budget.check("extended algebra")
@@ -211,7 +216,7 @@ def cmd_moduli(args) -> int:
         "dim_extended": alg.dim,
         "grading": list(alg.grading),
     }
-    report = _report("moduli", f, ctx, None, result, started)
+    report = _report("moduli", f, ctx.nu, None, result, started)
     lines = [
         f"f = {render_polynomial(f)}  (nvars {ctx.nvars}, nu {ctx.nu})",
         f"hilbert:      {list(data.hilbert)}",
@@ -242,12 +247,14 @@ def cmd_deform(args) -> int:
     g = (Polynomial.zero(ctx.nvars) if not g_text
          else parse_polynomial(g_text, ctx.nvars))
     budget.check("parse")
-    data = deformed_subalgebra(f, g, ctx, max_pairs=args.max_pairs)
+    data = deformed_subalgebra(f, g, ctx, max_pairs=args.max_pairs,
+                               deadline=budget.deadline)
     budget.check("closure")
     alg = extended_from_closure(data, ctx)
     budget.check("products")
     comparison = compare_dimensions(
-        graded_quotient(f, ctx, max_pairs=args.max_pairs), data, ctx)
+        graded_quotient(f, ctx, max_pairs=args.max_pairs,
+                        deadline=budget.deadline), data, ctx)
     dump = to_json_dict(alg)
     result = {
         "dim_extended": comparison["dim_extended"],
@@ -265,7 +272,7 @@ def cmd_deform(args) -> int:
             f"direction is not transverse (g may be exact in the Jacobian "
             f"ideal, or of weight 2*nu or higher)")
         result["warning"] = warning
-    report = _report("deform", f, ctx, g, result, started)
+    report = _report("deform", f, ctx.nu, g, result, started)
     lines = [
         f"f = {render_polynomial(f)}  (nvars {ctx.nvars}, nu {ctx.nu})",
         f"g = {render_polynomial(g)}",
@@ -295,13 +302,14 @@ def cmd_dgla(args) -> int:
     }
     crosscheck_ok = True
     if args.degree == 1:
-        data = graded_quotient(f, ctx, max_pairs=args.max_pairs)
+        data = graded_quotient(f, ctx, max_pairs=args.max_pairs,
+                               deadline=budget.deadline)
         idx = args.weight + ctx.nu
         expected = data.hilbert[idx] if 0 <= idx < len(data.hilbert) else 0
         crosscheck_ok = spot["h_dim"] == expected
         result["hilbert_value"] = expected
         result["crosscheck_pass"] = crosscheck_ok
-    report = _report("dgla", f, ctx, None, result, started)
+    report = _report("dgla", f, ctx.nu, None, result, started)
     lines = [
         f"f = {render_polynomial(f)}  (nvars {ctx.nvars}, nu {ctx.nu})",
         f"piece L^({args.degree},{args.weight}):  dim {spot['dim_piece']}",

@@ -191,14 +191,12 @@ def extended_from_closure(
     for a, pa in enumerate(data.basis):
         for b in range(a, nprim):
             nf = normal_form(pa * data.basis[b], data.gb)
-            expansion = span.expand(coords(nf))
+            expansion = span.coordinates(coords(nf))
             if expansion is None:
                 raise RuntimeError(
                     "product left the closure span; closure invariant violated"
                 )
-            table[a][b] = table[b][a] = {
-                x: c for x, c in enumerate(expansion) if c
-            }
+            table[a][b] = table[b][a] = expansion
 
     unit = data.basis[0]
     if unit != normal_form(Polynomial.constant(ctx.nvars, 1), data.gb):

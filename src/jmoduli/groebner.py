@@ -3,21 +3,32 @@
 Monomial order is graded reverse lexicographic throughout: compare total
 degree first, ties broken at the last differing exponent, smaller
 exponent winning.  Pair selection follows the normal strategy (smallest
-lcm first), generators are kept monic, and the returned basis is the
-unique reduced Groebner basis with generators sorted by leading
-monomial, so identical inputs give identical outputs.
+lcm first), and the returned basis is the unique reduced Groebner basis,
+made monic, with generators sorted by leading monomial, so identical
+inputs give identical outputs.
+
+Division is fraction-free (Bareiss, Math. Comp. 22, 1968) on primitive
+integer polynomials {monomial: int} with positive leading coefficients:
+a step scales the dividend and the remainder by lc / gcd(coeff, lc)
+instead of dividing, and the next monomial comes off a heap.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
+import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
+from math import gcd, lcm
+from operator import add, le
 
 from .polys import Monomial, Polynomial, degrevlex_key, monomials_of_weight
+
+IntTerms = dict[Monomial, int]
 
 
 class MonomialOrder(enum.Enum):
@@ -25,7 +36,8 @@ class MonomialOrder(enum.Enum):
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when Buchberger's pair budget runs out."""
+    """Raised when Buchberger's pair budget or the wall-clock deadline
+    runs out."""
 
 
 @dataclass(frozen=True)
@@ -40,6 +52,12 @@ class GroebnerBasis:
         and hashing are unchanged."""
         return tuple(g.leading_monomial() for g in self.generators)
 
+    @cached_property
+    def integer_generators(self) -> tuple[IntTerms, ...]:
+        """The monic generators with denominators cleared: primitive, with
+        a positive leading coefficient.  Cached like leads."""
+        return tuple(_integral(g.terms)[0] for g in self.generators)
+
     def leading_monomials(self) -> list[Monomial]:
         return list(self.leads)
 
@@ -51,7 +69,7 @@ class GroebnerBasis:
 
 
 def _divides(d: Monomial, m: Monomial) -> bool:
-    return all(a <= b for a, b in zip(d, m))
+    return all(map(le, d, m))
 
 
 def _lcm(a: Monomial, b: Monomial) -> Monomial:
@@ -65,51 +83,101 @@ def _quotient(m: Monomial, d: Monomial) -> Monomial:
 def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """S(f, g): cancel the leading terms against their lcm."""
     lmf, lmg = f.leading_monomial(), g.leading_monomial()
-    lcm = _lcm(lmf, lmg)
-    left = f.times_monomial(_quotient(lcm, lmf), 1 / f.leading_coefficient())
-    right = g.times_monomial(_quotient(lcm, lmg), 1 / g.leading_coefficient())
+    top = _lcm(lmf, lmg)
+    left = f.times_monomial(_quotient(top, lmf), 1 / f.leading_coefficient())
+    right = g.times_monomial(_quotient(top, lmg), 1 / g.leading_coefficient())
     return left - right
 
 
-def _reduce(
-    p: Polynomial, reducers: Sequence[Polynomial], lms: Sequence[Monomial]
-) -> Polynomial:
-    """Full multivariate division remainder of p by the (monic) reducers.
+def _integral(terms: dict[Monomial, Fraction]) -> tuple[IntTerms, int]:
+    """(den * terms as integers, den) for the least common denominator."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (den // c.denominator)
+            for m, c in terms.items()}, den
 
-    lms[i] is the leading monomial of reducers[i].  Deterministic: at
-    each step the largest remaining monomial is either cancelled against
-    the first reducer whose leading monomial divides it, or moved to the
-    remainder.
+
+def _primitive(terms: IntTerms, lm: Monomial) -> IntTerms:
+    """terms divided by their content, signed so the entry at lm is > 0."""
+    content = gcd(*terms.values())
+    if terms[lm] < 0:
+        content = -content
+    return {m: c // content for m, c in terms.items()}
+
+
+def _divide(
+    work: IntTerms, reducers: Sequence[IntTerms], lms: Sequence[Monomial]
+) -> tuple[IntTerms, int]:
+    """(r, scale): r / scale is the remainder of work (consumed) divided
+    by the monic reducers, and r lists its terms in descending order.
+
+    lms[i] is the leading monomial of reducers[i], with a positive
+    coefficient there.  The largest monomial left is either cancelled
+    by the first reducer whose leading monomial divides it, or moved to
+    the remainder.
     """
-    work = dict(p.terms)
-    remainder: dict[Monomial, Fraction] = {}
-    while work:
-        mono = max(work, key=degrevlex_key)
+    # heap of (negated degrevlex key, monomial): the largest pops first.
+    # A cancelled entry stays in work as 0, so each monomial is pushed once.
+    heap = [((-sum(m),) + m[::-1], m) for m in work]
+    heapq.heapify(heap)
+    remainder: IntTerms = {}
+    scale = 1
+    while heap:
+        mono = heapq.heappop(heap)[1]
         coeff = work.pop(mono)
+        if not coeff:
+            continue
         for lm, red in zip(lms, reducers):
             if _divides(lm, mono):
-                shift = _quotient(mono, lm)
-                scale = coeff / red.terms[lm]
-                for m2, c2 in red.terms.items():
-                    if m2 == lm:
-                        continue
-                    target = tuple(a + b for a, b in zip(m2, shift))
-                    c = work.get(target, Fraction(0)) - scale * c2
-                    if c:
-                        work[target] = c
-                    else:
-                        work.pop(target, None)
                 break
         else:
             remainder[mono] = coeff
-    return Polynomial(p.nvars, remainder)
+            continue
+        lc = red[lm]
+        common = gcd(coeff, lc)
+        mult, coeff = lc // common, coeff // common
+        if mult != 1:
+            # mult * (old coeff) = coeff * lc: scale so lc divides exactly
+            scale *= mult
+            work = {m: c * mult for m, c in work.items()}
+            remainder = {m: c * mult for m, c in remainder.items()}
+        shift = _quotient(mono, lm)
+        for m2, c2 in red.items():
+            if m2 == lm:
+                continue
+            target = tuple(map(add, m2, shift))
+            c = work.get(target)
+            if c is None:
+                work[target] = -coeff * c2
+                heapq.heappush(heap, ((-sum(target),) + target[::-1], target))
+            else:
+                work[target] = c - coeff * c2
+    return remainder, scale
+
+
+def _spair(
+    f: IntTerms, lmf: Monomial, g: IntTerms, lmg: Monomial, top: Monomial
+) -> IntTerms:
+    """A positive integer multiple of S(f, g), whose lcm is top; the
+    cancelled lcm stays as a 0 entry."""
+    common = gcd(f[lmf], g[lmg])
+    out: IntTerms = {}
+    for p, lm, mult in ((f, lmf, g[lmg] // common), (g, lmg, -f[lmf] // common)):
+        shift = _quotient(top, lm)
+        for m, c in p.items():
+            m = tuple(map(add, m, shift))
+            out[m] = out.get(m, 0) + mult * c
+    return out
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Canonical remainder of p modulo the ideal of gb."""
     if p.nvars != gb.nvars:
         raise ValueError("arity mismatch")
-    return _reduce(p, gb.generators, gb.leads)
+    work, den = _integral(p.terms)
+    remainder, scale = _divide(work, gb.integer_generators, gb.leads)
+    scale *= den
+    return Polynomial(
+        p.nvars, {m: Fraction(c, scale) for m, c in remainder.items()})
 
 
 def weight_normal_forms(
@@ -153,12 +221,14 @@ def buchberger(
     gens: list[Polynomial],
     order: MonomialOrder = MonomialOrder.DEGREVLEX,
     max_pairs: int = 10**6,
+    deadline: float | None = None,
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
     Zero generators are discarded; an all-zero input is an error.  The
-    number of critical pairs examined is capped by max_pairs; exceeding
-    it raises BudgetExceeded.
+    number of critical pairs examined is capped by max_pairs, and each
+    popped pair checks the time.perf_counter() deadline; running past
+    either raises BudgetExceeded.
     """
     if order is not MonomialOrder.DEGREVLEX:
         raise ValueError(f"unsupported monomial order: {order}")
@@ -169,8 +239,8 @@ def buchberger(
     for g in basis:
         if g.nvars != nvars:
             raise ValueError("generators have mixed arity")
-    working = [g.monic() for g in basis]
-    lms = [g.leading_monomial() for g in working]  # kept in step with working
+    lms = [g.leading_monomial() for g in basis]  # kept in step with working
+    working = [_primitive(_integral(g.terms)[0], lm) for g, lm in zip(basis, lms)]
 
     # pending pairs as (degrevlex_key(lcm), i, j, lcm): popped smallest lcm
     # first, ties broken by (i, j)
@@ -185,46 +255,39 @@ def buchberger(
             push(i, j)
     treated: set[tuple[int, int]] = set()
     examined = 0
-
-    def ordered(a: int, b: int) -> tuple[int, int]:
-        return (a, b) if a < b else (b, a)
-
     while queue:
         _, i, j, lcm_ij = heapq.heappop(queue)
-        ij = (i, j)
-        treated.add(ij)
+        treated.add((i, j))
         examined += 1
         if examined > max_pairs:
             raise BudgetExceeded(f"pair budget {max_pairs} exceeded")
+        if deadline is not None and time.perf_counter() > deadline:
+            raise BudgetExceeded(
+                f"wall clock budget exceeded in Buchberger after {examined} pairs")
         lmi, lmj = lms[i], lms[j]
         # first criterion: coprime leading monomials reduce to zero
         if all(a == 0 or b == 0 for a, b in zip(lmi, lmj)):
             continue
         # chain criterion: a third generator splits the pair
-        skip = False
-        for k in range(len(working)):
-            if k in ij:
-                continue
-            if (
-                _divides(lms[k], lcm_ij)
-                and ordered(i, k) in treated
-                and ordered(j, k) in treated
-            ):
-                skip = True
-                break
-        if skip:
+        if any(
+            k != i and k != j and _divides(lms[k], lcm_ij)
+            and (min(i, k), max(i, k)) in treated
+            and (min(j, k), max(j, k)) in treated
+            for k in range(len(working))
+        ):
             continue
-        remainder = _reduce(spolynomial(working[i], working[j]), working, lms)
-        if not remainder.is_zero():
+        remainder, _ = _divide(
+            _spair(working[i], lmi, working[j], lmj, lcm_ij), working, lms)
+        if remainder:
             t = len(working)
-            working.append(remainder.monic())
-            lms.append(working[t].leading_monomial())
+            lms.append(next(iter(remainder)))
+            working.append(_primitive(remainder, lms[t]))
             for k in range(t):
                 push(k, t)
 
     # minimalize: drop generators whose leading monomial is divisible by
     # another's, keeping the degrevlex-smallest representatives
-    minimal: list[Polynomial] = []
+    minimal: list[IntTerms] = []
     min_lms: list[Monomial] = []
     by_lead = sorted(zip(lms, working), key=lambda pair: degrevlex_key(pair[0]))
     for lm, g in by_lead:
@@ -235,11 +298,17 @@ def buchberger(
     # monomial divides its own, so the leading monomials and their
     # ascending order survive
     reduced = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        reduced.append(
-            _reduce(g, others, min_lms[:idx] + min_lms[idx + 1 :]).monic())
+    for idx, (g, lm) in enumerate(zip(minimal, min_lms)):
+        tail, _ = _divide(dict(g), minimal[:idx] + minimal[idx + 1 :],
+                          min_lms[:idx] + min_lms[idx + 1 :])
+        lc = tail[lm]
+        reduced.append(Polynomial(
+            nvars, {m: Fraction(c, lc) for m, c in tail.items()}))
     return GroebnerBasis(tuple(reduced), order, nvars)
+
+
+def _is_power_of(lm: Monomial, var: int) -> bool:
+    return sum(lm) == lm[var]
 
 
 def is_zero_dimensional(gb: GroebnerBasis) -> bool:
@@ -248,13 +317,8 @@ def is_zero_dimensional(gb: GroebnerBasis) -> bool:
     Criterion: every variable has some leading monomial that is a pure
     power of it.
     """
-    lms = gb.leads
-    for var in range(gb.nvars):
-        if not any(
-            all(e == 0 for k, e in enumerate(lm) if k != var) for lm in lms
-        ):
-            return False
-    return True
+    return all(any(_is_power_of(lm, var) for lm in gb.leads)
+               for var in range(gb.nvars))
 
 
 def standard_monomials(gb: GroebnerBasis) -> list[Monomial]:
@@ -266,25 +330,9 @@ def standard_monomials(gb: GroebnerBasis) -> list[Monomial]:
     if not is_zero_dimensional(gb):
         raise ValueError("infinite quotient")
     lms = gb.leads
-    bounds = []
-    for var in range(gb.nvars):
-        powers = [
-            lm[var]
-            for lm in lms
-            if all(e == 0 for k, e in enumerate(lm) if k != var)
-        ]
-        bounds.append(min(powers))
-    out: list[Monomial] = []
-
-    def rec(prefix: list[int], slot: int) -> None:
-        if slot == gb.nvars:
-            mono = tuple(prefix)
-            if not any(_divides(lm, mono) for lm in lms):
-                out.append(mono)
-            return
-        for e in range(bounds[slot]):
-            rec(prefix + [e], slot + 1)
-
-    rec([], 0)
+    bounds = [min(lm[var] for lm in lms if _is_power_of(lm, var))
+              for var in range(gb.nvars)]
+    out = [mono for mono in product(*map(range, bounds))
+           if not any(_divides(lm, mono) for lm in lms)]
     out.sort(key=degrevlex_key)
     return out

@@ -39,12 +39,14 @@ def jacobian_ideal(f: Polynomial) -> list[Polynomial]:
     return [f.partial_derivative(i) for i in range(f.nvars)]
 
 
-def jacobian_gb(f: Polynomial, max_pairs: int = 10**6) -> GroebnerBasis | None:
+def jacobian_gb(
+    f: Polynomial, max_pairs: int = 10**6, deadline: float | None = None
+) -> GroebnerBasis | None:
     """Groebner basis of J_f, or None when every partial vanishes."""
     partials = [p for p in jacobian_ideal(f) if not p.is_zero()]
     if not partials:
         return None
-    return buchberger(partials, max_pairs=max_pairs)
+    return buchberger(partials, max_pairs=max_pairs, deadline=deadline)
 
 
 def is_nonsingular(f: Polynomial, ctx: RingContext, max_pairs: int = 10**6) -> bool:
@@ -72,7 +74,10 @@ class GradedQuotientData:
 
 
 def graded_quotient(
-    f: Polynomial, ctx: RingContext, max_pairs: int = 10**6
+    f: Polynomial,
+    ctx: RingContext,
+    max_pairs: int = 10**6,
+    deadline: float | None = None,
 ) -> GradedQuotientData:
     """Hilbert data of S/J_f and the dimensions of the pieces R^k.
 
@@ -83,7 +88,7 @@ def graded_quotient(
     weight = weight_of_or_none(f)
     if weight is None or weight != ctx.nu:
         raise ValueError("f must be homogeneous of weight nu")
-    gb = jacobian_gb(f, max_pairs=max_pairs)
+    gb = jacobian_gb(f, max_pairs=max_pairs, deadline=deadline)
     if gb is None or not is_zero_dimensional(gb):
         raise SingularInputError("singular hypersurface")
     std = standard_monomials(gb)
@@ -159,6 +164,7 @@ def deformed_subalgebra(
     ctx: RingContext,
     max_pairs: int = 10**6,
     verify_extra_steps: int = 0,
+    deadline: float | None = None,
 ) -> DeformedSubalgebraData:
     """Closure computation of R_{f+g}.
 
@@ -170,7 +176,8 @@ def deformed_subalgebra(
 
     verify_extra_steps > 0 keeps iterating that many layers past
     stabilization and raises if anything new appears (a consistency
-    check for tests).
+    check for tests).  deadline bounds the Groebner basis, as in
+    buchberger.
     """
     if f.nvars != ctx.nvars or (not g.is_zero() and g.nvars != ctx.nvars):
         raise ValueError("arity mismatch with context")
@@ -185,7 +192,7 @@ def deformed_subalgebra(
     partials = [p for p in jacobian_ideal(total) if not p.is_zero()]
     if not partials:
         raise SingularDeformationError("deformation is singular")
-    gb = buchberger(partials, max_pairs=max_pairs)
+    gb = buchberger(partials, max_pairs=max_pairs, deadline=deadline)
     if not is_zero_dimensional(gb):
         raise SingularDeformationError("deformation is singular")
     std = tuple(standard_monomials(gb))

@@ -4,7 +4,8 @@ One kernel, _eliminate, serves rref/rank_of (forward elimination, then
 back-substitution for rref) and the incremental Span, which keeps its
 rows fully reduced so membership tests are a single elimination pass.
 Vectors go in as dense lists of Fractions or sparse dicts; rref,
-Span.basis_rows and Span.expand return dense lists.
+Span.basis_rows and Span.expand return dense lists, Span.coordinates
+the sparse form.
 """
 
 from __future__ import annotations
@@ -168,8 +169,9 @@ class Span:
             self._combos[piv] = combo
         return True
 
-    def expand(self, vec: Vector) -> list[Fraction] | None:
-        """Coordinates of vec in the accepted-vector basis, or None.
+    def coordinates(self, vec: Vector) -> Row | None:
+        """Sparse coordinates {k: c} of vec in the accepted-vector basis,
+        or None when vec is outside the span.
 
         Requires track_original.  Index k refers to the k-th vector for
         which add() returned True.
@@ -179,11 +181,15 @@ class Span:
         residue, coeffs = self._reduce(vec)
         if residue:
             return None
-        out = [Fraction(0)] * self.dim
+        out: Row = {}
         for p, c in coeffs.items():
-            for j, cj in self._combos[p].items():
-                out[j] += c * cj
+            _add_scaled(out, c, self._combos[p])
         return out
+
+    def expand(self, vec: Vector) -> list[Fraction] | None:
+        """coordinates() as a dense list of length dim."""
+        coords = self.coordinates(vec)
+        return None if coords is None else _dense(coords, self.dim)
 
     def basis_rows(self) -> list[list[Fraction]]:
         return [_dense(row, self.ncols) for row in self._rows.values()]

@@ -221,11 +221,6 @@ class RingContext:
         return f"RingContext(nvars={self.nvars}, nu={self.nu})"
 
 
-def weight_of(mono: Monomial) -> int:
-    """Total degree; all variables carry weight 1."""
-    return sum(mono)
-
-
 def monomials_of_weight(nvars: int, weight: int) -> list[Monomial]:
     """All exponent tuples of the given total degree, ascending degrevlex."""
     if weight < 0:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -61,6 +62,31 @@ def test_check_zero_quotient(capsys):
     code, out, _ = run(capsys, ["check", "x0 + x1"])
     assert code == 1
     assert out.endswith("verdict:      fail\n")
+
+
+def test_check_constant_f(capsys):
+    # a constant parses as homogeneous of weight 0: the wrong degree
+    for f in ("1", "x0^0"):
+        code, report, _ = run_json(capsys, ["check", f])
+        assert code == 1
+        assert report["input"]["nu"] == 0
+        assert report["result"] == {
+            "homogeneous": True, "nu": 0, "nvars": 1, "calabi_yau": False,
+            "nonsingular": False, "pass": False}
+    code, out, _ = run(capsys, ["check", "1"])
+    assert code == 1
+    assert out.endswith("verdict:      fail\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["moduli", "1"],
+    ["dgla", "1", "--degree", "0", "--weight", "0"],
+])
+def test_constant_f_is_a_hypothesis_failure(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == "hypothesis failure: f is constant\n"
 
 
 def test_parse_error_exit_code(capsys):
@@ -211,6 +237,30 @@ def test_console_script_entry_point(src_env):
         capture_output=True, text=True, env=src_env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["pass"] is True
+
+
+# a quintic whose Groebner basis runs far past any small limit
+SLOW_QUINTIC = ("x0^5 + x1^5 + x2^5 + x3^5 + x4^5 + 2*x0^3*x1*x2"
+                " - x1^2*x2^2*x3 + 3*x0*x2*x3*x4^2 - x0^2*x4^3 + x1*x3^4"
+                " - 2*x2^3*x4^2")
+
+
+def test_timeout_stops_buchberger(src_env):
+    limit = 1.0
+    started = time.perf_counter()
+    subprocess.run([sys.executable, "-m", "jmoduli.cli", "--version"],
+                   capture_output=True, env=src_env, check=True)
+    startup = time.perf_counter() - started
+
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "jmoduli.cli", "moduli", SLOW_QUINTIC,
+         "--timeout-s", str(limit)],
+        capture_output=True, text=True, env=src_env, timeout=60)
+    elapsed = time.perf_counter() - started
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("budget exceeded: ")
+    assert elapsed < 2 * limit + startup
 
 
 def test_human_output_mentions_dimensions(capsys):

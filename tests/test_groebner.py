@@ -1,5 +1,7 @@
 """Buchberger, normal forms, and standard monomial extraction."""
 
+import heapq
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,13 +12,100 @@ from jmoduli import (
     MonomialOrder,
     Polynomial,
     buchberger,
+    degrevlex_key,
     is_zero_dimensional,
+    monomials_of_weight,
     normal_form,
     parse_polynomial,
     spolynomial,
     standard_monomials,
 )
-from jmoduli.groebner import _reduce
+from jmoduli.groebner import (
+    _divides,
+    _integral,
+    _lcm,
+    _primitive,
+    _quotient,
+    _spair,
+)
+
+
+# -- the Fraction division loop and Buchberger, kept as oracles ---------------
+
+def _reduce(p, reducers, lms):
+    """Full multivariate division remainder of p by the (monic) reducers.
+
+    lms[i] is the leading monomial of reducers[i].  At each step the
+    largest remaining monomial is either cancelled against the first
+    reducer whose leading monomial divides it, or moved to the remainder.
+    """
+    work = dict(p.terms)
+    remainder = {}
+    while work:
+        mono = max(work, key=degrevlex_key)
+        coeff = work.pop(mono)
+        for lm, red in zip(lms, reducers):
+            if _divides(lm, mono):
+                shift = _quotient(mono, lm)
+                scale = coeff / red.terms[lm]
+                for m2, c2 in red.terms.items():
+                    if m2 == lm:
+                        continue
+                    target = tuple(a + b for a, b in zip(m2, shift))
+                    c = work.get(target, Fraction(0)) - scale * c2
+                    if c:
+                        work[target] = c
+                    else:
+                        work.pop(target, None)
+                break
+        else:
+            remainder[mono] = coeff
+    return Polynomial(p.nvars, remainder)
+
+
+def fraction_buchberger(gens):
+    """Reduced Groebner basis over monic Fraction polynomials: the same pair
+    order and criteria as buchberger, with _reduce as the division."""
+    working = [g.monic() for g in gens if not g.is_zero()]
+    lms = [g.leading_monomial() for g in working]
+    queue = []
+
+    def push(i, j):
+        top = _lcm(lms[i], lms[j])
+        heapq.heappush(queue, (degrevlex_key(top), i, j, top))
+
+    for i in range(len(working)):
+        for j in range(i + 1, len(working)):
+            push(i, j)
+    treated = set()
+    while queue:
+        _, i, j, top = heapq.heappop(queue)
+        treated.add((i, j))
+        if all(a == 0 or b == 0 for a, b in zip(lms[i], lms[j])):
+            continue
+        if any(
+            k not in (i, j) and _divides(lms[k], top)
+            and (min(i, k), max(i, k)) in treated
+            and (min(j, k), max(j, k)) in treated
+            for k in range(len(working))
+        ):
+            continue
+        remainder = _reduce(spolynomial(working[i], working[j]), working, lms)
+        if not remainder.is_zero():
+            working.append(remainder.monic())
+            lms.append(working[-1].leading_monomial())
+            for k in range(len(working) - 1):
+                push(k, len(working) - 1)
+    minimal, min_lms = [], []
+    for lm, g in sorted(zip(lms, working), key=lambda pair: degrevlex_key(pair[0])):
+        if not any(_divides(h, lm) for h in min_lms):
+            minimal.append(g)
+            min_lms.append(lm)
+    return [
+        _reduce(g, minimal[:idx] + minimal[idx + 1:],
+                min_lms[:idx] + min_lms[idx + 1:]).monic()
+        for idx, g in enumerate(minimal)
+    ]
 
 
 def polys(*texts, nvars=None):
@@ -88,6 +177,13 @@ def test_buchberger_skips_zero_generators():
     gens = [Polynomial.zero(2)] + polys("x0", "x1", nvars=2)
     gb = buchberger(gens)
     assert len(gb) == 2
+
+
+def test_buchberger_deadline():
+    gens = polys("x0^2*x1 - x2^3 + x1", "x1^2*x2 - x0 + 1", nvars=3)
+    with pytest.raises(BudgetExceeded):
+        buchberger(gens, deadline=time.perf_counter())
+    assert buchberger(gens, deadline=time.perf_counter() + 60) == buchberger(gens)
 
 
 def test_buchberger_budget():
@@ -257,3 +353,84 @@ def test_weight_table_matches_normal_form(name):
         for mono in monos:
             want = normal_form(Polynomial.monomial(mono), gb).terms
             assert table[mono] == want
+
+
+# -- the integer kernel against the Fraction oracles --------------------------
+
+def small_monomials(nvars, degree):
+    return [m for d in range(degree + 1) for m in monomials_of_weight(nvars, d)]
+
+
+@st.composite
+def random_ideals(draw):
+    """2-3 variables, up to three generators of degree <= 3 with up to
+    three terms and rational coefficients of either sign: homogeneous or
+    not, zero-dimensional or not."""
+    nvars = draw(st.integers(min_value=2, max_value=3))
+    term = st.tuples(
+        st.sampled_from(small_monomials(nvars, 3)),
+        st.fractions(min_value=-6, max_value=6, max_denominator=5).filter(bool),
+    )
+    poly = st.lists(term, min_size=1, max_size=3).map(
+        lambda terms: Polynomial(nvars, dict(terms)))
+    gens = draw(st.lists(poly, min_size=1, max_size=3))
+    probe = Polynomial(nvars, dict(draw(st.lists(term, max_size=5))))
+    return gens, probe
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(random_ideals())
+def test_integer_kernel_matches_fraction_oracles(ideal):
+    gens, probe = ideal
+    want = fraction_buchberger(gens)
+    gb = buchberger(gens)
+    assert list(gb.generators) == want
+    assert normal_form(probe, gb) == _reduce(
+        probe, want, [g.leading_monomial() for g in want])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(random_ideals())
+def test_integer_spair_is_a_multiple_of_the_spolynomial(ideal):
+    gens, probe = ideal
+    f, g = gens[0], probe if probe else gens[-1]
+    lmf, lmg = f.leading_monomial(), g.leading_monomial()
+    ints = [_primitive(_integral(p.terms)[0], lm) for p, lm in ((f, lmf), (g, lmg))]
+    pair = Polynomial(f.nvars, _spair(ints[0], lmf, ints[1], lmg, _lcm(lmf, lmg)))
+    want = spolynomial(f, g)
+    assert pair.is_zero() == want.is_zero()
+    if not want.is_zero():
+        ratio = pair.leading_coefficient() / want.leading_coefficient()
+        assert ratio > 0 and pair == want.scale(ratio)
+
+
+SYMPY_FORMS = {
+    "cubic_plus_x0x1x2": "x0^3 + x1^3 + x2^3 + x0*x1*x2",
+    "perturbed_quintic": WEIGHT_TABLE_FORMS["perturbed_quintic"],
+    "dense_quartic": WEIGHT_TABLE_FORMS["dense_quartic"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMPY_FORMS))
+def test_jacobian_gb_matches_sympy(name):
+    sympy = pytest.importorskip("sympy")
+    from jmoduli import jacobian_gb
+
+    f = parse_polynomial(SYMPY_FORMS[name])
+    xs = sympy.symbols(f"x0:{f.nvars}")
+    expr = sum(
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.prod(x**e for x, e in zip(xs, mono))
+        for mono, c in f.terms.items()
+    )
+    theirs = sympy.groebner([sympy.diff(expr, x) for x in xs], *xs,
+                            order="grevlex")
+    want = set()
+    for p in theirs.polys:
+        # monic under grevlex; sympy's own LC/monic use lex
+        lc = p.LC(order="grevlex")
+        want.add(frozenset(
+            (mono, Fraction(int(c.p), int(c.q)) / Fraction(int(lc.p), int(lc.q)))
+            for mono, c in p.as_dict().items()))
+    ours = {frozenset(g.terms.items()) for g in jacobian_gb(f)}
+    assert ours == want

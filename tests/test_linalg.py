@@ -231,6 +231,8 @@ def test_sparse_core_matches_dense_reference(matrix, data):
     target = combine(coeffs, accepted, ncols)
     sparse_target = data.draw(st.booleans())
     assert span.expand(as_input(target, sparse_target)) == coeffs
+    assert span.coordinates(as_input(target, sparse_target)) == {
+        k: c for k, c in enumerate(coeffs) if c}
 
     probe = data.draw(st.lists(entries(), min_size=ncols, max_size=ncols))
     outside = dense_rref(accepted + [probe])[1] > len(accepted)
