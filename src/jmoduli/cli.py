@@ -33,7 +33,7 @@ from .extended import (
     to_json_dict,
 )
 from .dgla import cohomology_report
-from .groebner import BudgetExceeded, is_zero_dimensional
+from .groebner import BudgetExceeded, check_deadline, is_zero_dimensional
 from .jacobian import (
     SingularDeformationError,
     SingularInputError,
@@ -54,21 +54,6 @@ EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-
-class _Budget:
-    """Wall-clock budget, checked between pipeline stages and, through
-    deadline, once per pair inside Buchberger."""
-
-    def __init__(self, seconds: float) -> None:
-        self.seconds = seconds
-        self.start = time.perf_counter()
-        self.deadline = self.start + seconds if seconds else None
-
-    def check(self, stage: str) -> None:
-        if self.seconds and time.perf_counter() - self.start > self.seconds:
-            raise BudgetExceeded(
-                f"wall clock budget of {self.seconds:g}s exceeded at {stage}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,7 +138,6 @@ def _report(command: str, f: Polynomial, nu: "int | None",
 
 def cmd_check(args) -> int:
     started = time.perf_counter()
-    budget = _Budget(args.timeout_s)
     f = parse_polynomial(args.f, args.nvars)
     if f.is_zero():
         raise ParseError("f must be nonzero", 0)
@@ -162,9 +146,8 @@ def cmd_check(args) -> int:
     calabi_yau = homogeneous and nu == f.nvars
     nonsingular = zero_quotient = False
     if homogeneous:
-        budget.check("parse")
         gb = jacobian_gb(f, max_pairs=args.max_pairs,
-                         deadline=budget.deadline)
+                         deadline=args.deadline)
         nonsingular = gb is not None and is_zero_dimensional(gb)
         zero_quotient = nonsingular and (0,) * f.nvars in gb.leads
     passed = homogeneous and calabi_yau and nonsingular
@@ -195,14 +178,10 @@ def cmd_check(args) -> int:
 
 def cmd_moduli(args) -> int:
     started = time.perf_counter()
-    budget = _Budget(args.timeout_s)
     f, ctx = _parse_f(args)
-    budget.check("parse")
     data = graded_quotient(f, ctx, max_pairs=args.max_pairs,
-                           deadline=budget.deadline)
-    budget.check("groebner")
+                           deadline=args.deadline)
     alg = extended_from_quotient(data, ctx)
-    budget.check("extended algebra")
     n = ctx.nvars - 1
     bases = []
     for k in range(n):
@@ -232,7 +211,6 @@ def cmd_moduli(args) -> int:
 
 def cmd_deform(args) -> int:
     started = time.perf_counter()
-    budget = _Budget(args.timeout_s)
     f, ctx = _parse_f(args)
     if args.g_file is not None and args.g:
         raise ParseError("pass g inline or with --g-file, not both", 0)
@@ -246,15 +224,12 @@ def cmd_deform(args) -> int:
     g_text = g_text.strip()
     g = (Polynomial.zero(ctx.nvars) if not g_text
          else parse_polynomial(g_text, ctx.nvars))
-    budget.check("parse")
     data = deformed_subalgebra(f, g, ctx, max_pairs=args.max_pairs,
-                               deadline=budget.deadline)
-    budget.check("closure")
+                               deadline=args.deadline)
     alg = extended_from_closure(data, ctx)
-    budget.check("products")
     comparison = compare_dimensions(
         graded_quotient(f, ctx, max_pairs=args.max_pairs,
-                        deadline=budget.deadline), data, ctx)
+                        deadline=args.deadline), data, ctx)
     dump = to_json_dict(alg)
     result = {
         "dim_extended": comparison["dim_extended"],
@@ -287,11 +262,9 @@ def cmd_deform(args) -> int:
 
 def cmd_dgla(args) -> int:
     started = time.perf_counter()
-    budget = _Budget(args.timeout_s)
     f, ctx = _parse_f(args)
-    budget.check("parse")
     spot = cohomology_report(f, args.degree, args.weight)
-    budget.check("cohomology")
+    check_deadline(args.deadline, "the cohomology")
     result = {
         "degree": args.degree,
         "weight": args.weight,
@@ -303,7 +276,7 @@ def cmd_dgla(args) -> int:
     crosscheck_ok = True
     if args.degree == 1:
         data = graded_quotient(f, ctx, max_pairs=args.max_pairs,
-                               deadline=budget.deadline)
+                               deadline=args.deadline)
         idx = args.weight + ctx.nu
         expected = data.hilbert[idx] if 0 <= idx < len(data.hilbert) else 0
         crosscheck_ok = spot["h_dim"] == expected
@@ -337,6 +310,14 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not args.timeout_s >= 0:  # also true for nan
+            raise ValueError(f"--timeout-s must be >= 0, not {args.timeout_s}")
+        if args.max_pairs < 0:
+            raise ValueError(f"--max-pairs must be >= 0, not {args.max_pairs}")
+        # binds inside Buchberger, the closure and the products, and after
+        # the cohomology
+        args.deadline = (time.perf_counter() + args.timeout_s
+                         if args.timeout_s else None)
         return _COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -60,6 +60,7 @@ from .linalg import rank_of
 from .polys import (
     Monomial,
     Polynomial,
+    _add_term,
     degrevlex_key,
     monomial_factors,
     monomials_of_weight,
@@ -114,15 +115,6 @@ def _check_letter(letter, nvars: int) -> None:
 
 def _render_letter(letter) -> str:
     return letter if isinstance(letter, str) else f"d{letter}"
-
-
-def _add_term(acc: dict, key, value) -> None:
-    """acc[key] += value, dropping the key when the sum cancels."""
-    c = acc.get(key, 0) + value
-    if c:
-        acc[key] = c
-    else:
-        acc.pop(key, None)
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:

@@ -5,26 +5,28 @@ weight-k*nu graded pieces of S/J_f (k = 0..n-1); for a deformation f+g
 it is the closure subalgebra R_{f+g}.  The e-classes multiply to zero
 against everything except the unit.  Structure constants are stored
 sparsely; only the pairs i <= j are computed, and the mirrored entry
-products[j][i] is the same dict as products[i][j].  In the graded case
-the products come from one normal-form table per weight
-(groebner.weight_normal_forms), not from a division per pair.
+products[j][i] is the same dict as products[i][j].  Every product is
+read off the memoized monomial normal forms of the quotient
+(groebner.Quotient) that the graded quotient or the closure built, not
+from a division per pair, and checks the command's deadline once per
+basis vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
-from .groebner import normal_form, weight_normal_forms
+from .groebner import check_deadline
 from .jacobian import (
     DeformedSubalgebraData,
     GradedQuotientData,
     SingularInputError,
     deformed_subalgebra,
     graded_quotient,
-    std_coordinates,
 )
-from .linalg import Span
+from .linalg import Span, _add_scaled
 from .polys import Polynomial, RingContext, render_polynomial
 
 
@@ -116,8 +118,8 @@ def extended_from_quotient(
 
     Basis: the standard monomials of weight k*nu for k = 0..n-1 (grade
     2k), then e_0..e_{n-1} (grade n-1).  The product of two basis
-    monomials is read off the weight table of its weight (k_a+k_b)*nu;
-    above the socle weight there is no standard monomial, so it is zero.
+    monomials is the quotient's normal form of their product; above the
+    socle weight there is no standard monomial, so it is zero.
     """
     if not data.standard_basis:
         raise SingularInputError("the quotient S/J_f is zero")
@@ -135,17 +137,14 @@ def extended_from_quotient(
     unit_index = index_of_mono[(0,) * ctx.nvars]
     table = _e_products(nprim, n, unit_index)
     socle = len(data.hilbert) - 1
-    weight_tables = {
-        k: weight_normal_forms(data.gb, k * ctx.nu)
-        for k in range(2 * n - 1)
-        if k * ctx.nu <= socle
-    }
+    quotient = data.quotient
     for a, (ma, ka) in enumerate(monos):
+        check_deadline(quotient.deadline, "the products")
         for b in range(a, nprim):
             mb, kb = monos[b]
-            if ka + kb not in weight_tables:
+            if (ka + kb) * ctx.nu > socle:
                 continue
-            nf = weight_tables[ka + kb][tuple(x + y for x, y in zip(ma, mb))]
+            nf = quotient.nf(tuple(map(add, ma, mb)))
             if not nf.keys() <= index_of_mono.keys():
                 raise RuntimeError(
                     "normal form left the graded basis; inconsistent quotient"
@@ -175,32 +174,31 @@ def extended_from_closure(
 ) -> ExtendedAlgebra:
     """R-tilde_{f+g} from the closure R_{f+g}.
 
-    Primitive products are normal forms re-expanded over the stored
-    basis by exact elimination; a product falling outside the span is an
-    internal error (closure guarantees membership).
+    Primitive products NF(pa * pb), summed from the quotient's monomial
+    normal forms, are re-expanded over the stored basis by exact
+    elimination; a product falling outside the span is an internal error
+    (closure guarantees membership).  The closure puts the unit first.
     """
-    coords = std_coordinates(data.standard_basis)
+    quotient = data.quotient
     span = Span(len(data.standard_basis), track_original=True)
     for b in data.basis:
-        if not span.add(coords(b)):
+        if not span.add(quotient.coordinates(b.terms)):
             raise RuntimeError("stored closure basis is linearly dependent")
 
     nprim = len(data.basis)
     n = ctx.nvars - 1
     table = _e_products(nprim, n, unit_index=0)
-    for a, pa in enumerate(data.basis):
-        for b in range(a, nprim):
-            nf = normal_form(pa * data.basis[b], data.gb)
-            expansion = span.coordinates(coords(nf))
+    for b, pb in enumerate(data.basis):
+        check_deadline(quotient.deadline, "the products")
+        for a in range(b + 1):
+            nf = quotient.product(data.basis[a].terms, pb.terms)
+            expansion = span.coordinates(quotient.coordinates(nf))
             if expansion is None:
                 raise RuntimeError(
                     "product left the closure span; closure invariant violated"
                 )
             table[a][b] = table[b][a] = expansion
 
-    unit = data.basis[0]
-    if unit != normal_form(Polynomial.constant(ctx.nvars, 1), data.gb):
-        raise RuntimeError("closure basis does not start with the unit class")
     labels: list[Label] = [PrimitiveClass(b, None) for b in data.basis]
     for t in range(n):
         labels.append(EClass(t))
@@ -261,23 +259,13 @@ def verify_algebra_laws(algebra: ExtendedAlgebra) -> dict:
     def mul_row(row: dict[int, Fraction], k: int) -> dict[int, Fraction]:
         acc: dict[int, Fraction] = {}
         for x, c in row.items():
-            for y, d in products[x][k].items():
-                v = acc.get(y, Fraction(0)) + c * d
-                if v:
-                    acc[y] = v
-                else:
-                    del acc[y]
+            _add_scaled(acc, c, products[x][k])
         return acc
 
     def row_mul(i: int, row: dict[int, Fraction]) -> dict[int, Fraction]:
         acc: dict[int, Fraction] = {}
         for z, c in row.items():
-            for y, d in products[i][z].items():
-                v = acc.get(y, Fraction(0)) + c * d
-                if v:
-                    acc[y] = v
-                else:
-                    del acc[y]
+            _add_scaled(acc, c, products[i][z])
         return acc
 
     associative = True

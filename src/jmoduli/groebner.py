@@ -1,4 +1,4 @@
-"""Buchberger's algorithm over Q, normal forms, and standard monomials.
+"""Buchberger's algorithm over Q, normal forms, and the quotient S/I.
 
 Monomial order is graded reverse lexicographic throughout: compare total
 degree first, ties broken at the last differing exponent, smaller
@@ -10,7 +10,10 @@ inputs give identical outputs.
 Division is fraction-free (Bareiss, Math. Comp. 22, 1968) on primitive
 integer polynomials {monomial: int} with positive leading coefficients:
 a step scales the dividend and the remainder by lc / gcd(coeff, lc)
-instead of dividing, and the next monomial comes off a heap.
+instead of dividing, and the next monomial comes off a heap.  It serves
+Buchberger and normal_form.  Everything downstream of a basis reads its
+normal forms from one Quotient per basis: the staircase and a memo of
+monomial normal forms.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from itertools import product
 from math import gcd, lcm
 from operator import add, le
 
+from .linalg import _add_scaled
 from .polys import Monomial, Polynomial, degrevlex_key, monomials_of_weight
 
 IntTerms = dict[Monomial, int]
@@ -38,6 +42,12 @@ class MonomialOrder(enum.Enum):
 class BudgetExceeded(RuntimeError):
     """Raised when Buchberger's pair budget or the wall-clock deadline
     runs out."""
+
+
+def check_deadline(deadline: float | None, stage: str) -> None:
+    """Raise BudgetExceeded once time.perf_counter() is past deadline."""
+    if deadline is not None and time.perf_counter() > deadline:
+        raise BudgetExceeded(f"wall clock budget exceeded in {stage}")
 
 
 @dataclass(frozen=True)
@@ -183,38 +193,85 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
 def weight_normal_forms(
     gb: GroebnerBasis, weight: int
 ) -> dict[Monomial, dict[Monomial, Fraction]]:
-    """Normal form of every monomial of one weight, as {standard monomial:
-    coefficient}; gb must be homogeneous (as J_f is for homogeneous f).
+    """The Quotient(gb) rows of every monomial of one weight."""
+    quotient = Quotient(gb)
+    return {m: quotient.nf(m) for m in monomials_of_weight(gb.nvars, weight)}
 
-    Built in ascending degrevlex order: a standard monomial is its own
-    normal form, and any other m reduces by the first generator g whose
-    leading monomial divides it, as normal_form does, so NF(m) is
-    -sum c * NF(t * shift) over the tail terms c*t of the monic g.  Those
-    monomials have the same weight and are smaller than m, so their rows
-    are already in the table.
+
+class Quotient:
+    """S/I for one reduced basis gb: the staircase, the index of each
+    standard monomial, and a memo of monomial normal forms.
+
+    The memo is the monomial table of FGLM (Faugere, Gianni, Lazard and
+    Mora, JSC 16, 1993).  A standard monomial is its own row; any other m
+    takes the first generator g whose leading monomial divides it, and
+    NF(m) = -sum c * NF(t * shift) over the tail terms c*t of the monic g.
+    Each t * shift is below m in degrevlex, so the walk ends.  Each memo
+    miss checks the time.perf_counter() deadline.
     """
-    table: dict[Monomial, dict[Monomial, Fraction]] = {}
-    for mono in monomials_of_weight(gb.nvars, weight):
-        for lm, g in zip(gb.leads, gb.generators):
-            if _divides(lm, mono):
-                break
-        else:
-            table[mono] = {mono: Fraction(1)}
-            continue
-        shift = _quotient(mono, lm)
-        row: dict[Monomial, Fraction] = {}
-        for tail, c in g.terms.items():
-            if tail == lm:
+
+    def __init__(self, gb: GroebnerBasis, deadline: float | None = None) -> None:
+        self.gb = gb
+        self.deadline = deadline
+        self.rows: dict[Monomial, dict[Monomial, Fraction]] = {}
+
+    @cached_property
+    def standard(self) -> tuple[Monomial, ...]:
+        """The standard monomials, ascending degrevlex (finite quotients)."""
+        return tuple(standard_monomials(self.gb))
+
+    @cached_property
+    def index(self) -> dict[Monomial, int]:
+        return {m: i for i, m in enumerate(self.standard)}
+
+    def nf(self, mono: Monomial) -> dict[Monomial, Fraction]:
+        """The memo row of mono; shared, so callers must not mutate it."""
+        rows = self.rows
+        if mono in rows:
+            return rows[mono]
+        # (monomial, its shifted tail terms once expanded); an entry whose
+        # targets are missing goes back under them and is finished after
+        stack: list[tuple[Monomial, list | None]] = [(mono, None)]
+        while stack:
+            m, tail = stack.pop()
+            if m in rows:
                 continue
-            target = tuple(a + b for a, b in zip(tail, shift))
-            for std, d in table[target].items():
-                v = row.get(std, 0) - c * d
-                if v:
-                    row[std] = v
+            check_deadline(self.deadline, "normal forms")
+            if tail is None:
+                for lm, g in zip(self.gb.leads, self.gb.generators):
+                    if _divides(lm, m):
+                        break
                 else:
-                    del row[std]
-        table[mono] = row
-    return table
+                    rows[m] = {m: Fraction(1)}
+                    continue
+                shift = _quotient(m, lm)
+                tail = [(tuple(map(add, t, shift)), c)
+                        for t, c in g.terms.items() if t != lm]
+                missing = [(t, None) for t, _ in tail if t not in rows]
+                if missing:
+                    stack.append((m, tail))
+                    stack.extend(missing)
+                    continue
+            row: dict[Monomial, Fraction] = {}
+            for t, c in tail:
+                _add_scaled(row, -c, rows[t])
+            rows[m] = row
+        return rows[mono]
+
+    def product(
+        self, p: dict[Monomial, Fraction], q: dict[Monomial, Fraction]
+    ) -> dict[Monomial, Fraction]:
+        """NF(p * q) for polynomials as {monomial: coefficient}, a new dict."""
+        out: dict[Monomial, Fraction] = {}
+        for s, c in p.items():
+            for t, d in q.items():
+                _add_scaled(out, c * d, self.nf(tuple(map(add, s, t))))
+        return out
+
+    def coordinates(self, terms: dict[Monomial, Fraction]) -> dict[int, Fraction]:
+        """A normal form {standard monomial: c} as {index: c}."""
+        index = self.index
+        return {index[m]: c for m, c in terms.items()}
 
 
 def buchberger(
@@ -261,9 +318,7 @@ def buchberger(
         examined += 1
         if examined > max_pairs:
             raise BudgetExceeded(f"pair budget {max_pairs} exceeded")
-        if deadline is not None and time.perf_counter() > deadline:
-            raise BudgetExceeded(
-                f"wall clock budget exceeded in Buchberger after {examined} pairs")
+        check_deadline(deadline, "Buchberger")
         lmi, lmj = lms[i], lms[j]
         # first criterion: coprime leading monomials reduce to zero
         if all(a == 0 or b == 0 for a, b in zip(lmi, lmj)):

@@ -4,20 +4,21 @@ For homogeneous nonsingular f the quotient S/J_f is a finite-dimensional
 graded ring; its weight-k*nu pieces R^k are the building blocks of the
 extended algebra.  For an inhomogeneous deformation f+g the subalgebra
 R_{f+g} generated by the images of all weights k*nu is computed by an
-iterated-products closure.
+iterated-products closure.  Both carry the groebner.Quotient of their
+basis, whose memoized monomial normal forms serve the closure here and
+the product tables in extended.py.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 
 from .groebner import (
     GroebnerBasis,
+    Quotient,
     buchberger,
+    check_deadline,
     is_zero_dimensional,
-    normal_form,
-    standard_monomials,
 )
 from .linalg import Span
 from .polys import Monomial, Polynomial, RingContext, monomials_of_weight
@@ -68,6 +69,7 @@ class GradedQuotientData:
     standard_basis: tuple[Monomial, ...]
     hilbert: tuple[int, ...]
     r_dims: tuple[int, ...]
+    quotient: Quotient = field(compare=False, repr=False)
 
     def primitive_basis(self, k: int, nu: int) -> list[Monomial]:
         return [m for m in self.standard_basis if sum(m) == k * nu]
@@ -83,7 +85,8 @@ def graded_quotient(
 
     R^k is the image of the weight-k*nu polynomials in S/J_f; with J_f
     homogeneous that image is the whole weight-k*nu graded piece, so its
-    dimension reads off the Hilbert function.
+    dimension reads off the Hilbert function.  deadline bounds the
+    Groebner basis and every later normal form of the quotient.
     """
     weight = weight_of_or_none(f)
     if weight is None or weight != ctx.nu:
@@ -91,7 +94,8 @@ def graded_quotient(
     gb = jacobian_gb(f, max_pairs=max_pairs, deadline=deadline)
     if gb is None or not is_zero_dimensional(gb):
         raise SingularInputError("singular hypersurface")
-    std = standard_monomials(gb)
+    quotient = Quotient(gb, deadline)
+    std = quotient.standard
     socle = ctx.nvars * (ctx.nu - 2)
     hilbert = [0] * (socle + 1)
     for mono in std:
@@ -110,7 +114,7 @@ def graded_quotient(
     for k in range(n):
         w = k * ctx.nu
         r_dims.append(hilbert[w] if w <= socle else 0)
-    return GradedQuotientData(gb, tuple(std), tuple(hilbert), tuple(r_dims))
+    return GradedQuotientData(gb, std, tuple(hilbert), tuple(r_dims), quotient)
 
 
 def primitive_basis(
@@ -133,16 +137,6 @@ def weight_of_or_none(p: Polynomial) -> int | None:
     return None
 
 
-def std_coordinates(std: tuple[Monomial, ...]):
-    """The map taking a normal form to its sparse coordinates over std."""
-    index = {mono: i for i, mono in enumerate(std)}
-
-    def coords(p: Polynomial) -> dict[int, Fraction]:
-        return {index[mono]: coeff for mono, coeff in p.terms.items()}
-
-    return coords
-
-
 @dataclass(frozen=True)
 class DeformedSubalgebraData:
     """R_{f+g}: the subalgebra of S/J_{f+g} generated by weights k*nu."""
@@ -152,6 +146,7 @@ class DeformedSubalgebraData:
     generators_nf: tuple[Polynomial, ...]
     basis: tuple[Polynomial, ...]
     stabilized_at: int
+    quotient: Quotient = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -170,14 +165,16 @@ def deformed_subalgebra(
 
     Layers V_k = image of the weight-k*nu polynomials in S/J_{f+g}
     satisfy V_{k+1} = span NF(m * v) over weight-nu monomials m and a
-    basis v of V_k, since every weight-(k+1)*nu monomial factors.  The
+    basis v of V_k, since every weight-(k+1)*nu monomial factors; NF(m * v)
+    sums the quotient's rows NF(m * s) over the terms c*s of v.  The
     iteration stops at the first k with V_{k+1} contained in the sum of
     the earlier layers, which forces all later layers in as well.
 
     verify_extra_steps > 0 keeps iterating that many layers past
     stabilization and raises if anything new appears (a consistency
     check for tests).  deadline bounds the Groebner basis, as in
-    buchberger.
+    buchberger, and the closure: each normal form it reads and each
+    vector of a layer check it.
     """
     if f.nvars != ctx.nvars or (not g.is_zero() and g.nvars != ctx.nvars):
         raise ValueError("arity mismatch with context")
@@ -187,46 +184,39 @@ def deformed_subalgebra(
                 f"deformation term of weight {sum(mono)} not divisible by nu={ctx.nu}"
             )
     total = f + g
-    if total.is_zero():
+    gb = None if total.is_zero() else jacobian_gb(total, max_pairs, deadline)
+    if gb is None or not is_zero_dimensional(gb):
         raise SingularDeformationError("deformation is singular")
-    partials = [p for p in jacobian_ideal(total) if not p.is_zero()]
-    if not partials:
-        raise SingularDeformationError("deformation is singular")
-    gb = buchberger(partials, max_pairs=max_pairs, deadline=deadline)
-    if not is_zero_dimensional(gb):
-        raise SingularDeformationError("deformation is singular")
-    std = tuple(standard_monomials(gb))
-    nstd = len(std)
-    coords = std_coordinates(std)
-    weight_nu = monomials_of_weight(ctx.nvars, ctx.nu)
-    one = normal_form(Polynomial.constant(ctx.nvars, 1), gb)
+    quotient = Quotient(gb, deadline)
+    nstd = len(quotient.standard)
+    weight_nu = [{m: 1} for m in monomials_of_weight(ctx.nvars, ctx.nu)]
+    one = Polynomial(ctx.nvars, quotient.nf((0,) * ctx.nvars))
     if one.is_zero():
         raise SingularDeformationError("the quotient S/J_(f+g) is zero")
 
     total_span = Span(nstd)
-    total_span.add(coords(one))
+    total_span.add(quotient.coordinates(one.terms))
     basis = [one]
     layer = [one]
     generators_nf: tuple[Polynomial, ...] = ()
+    # a layer that adds nothing ends the closure, once verify_extra_steps
+    # more layers have added nothing either
     stabilized_at = 0
-    extra_mode = False
-    extra_left = 0
     k = 0
-    cap = nstd + 1
-    while layer:
+    while layer and k <= stabilized_at + verify_extra_steps:
         k += 1
-        if k > cap + verify_extra_steps:
-            raise RuntimeError("closure failed to stabilize below the hard cap")
         layer_span = Span(nstd)
         next_layer: list[Polynomial] = []
         grew = False
         for v in layer:
+            check_deadline(deadline, "the closure")
             for m in weight_nu:
-                w = normal_form(v.times_monomial(m), gb)
-                if w.is_zero():
+                w = quotient.product(v.terms, m)
+                if not w:
                     continue
-                cw = coords(w)
+                cw = quotient.coordinates(w)
                 if layer_span.add(cw):
+                    w = Polynomial(ctx.nvars, w)
                     next_layer.append(w)
                     if total_span.add(cw):
                         basis.append(w)
@@ -234,19 +224,12 @@ def deformed_subalgebra(
         if k == 1:
             generators_nf = tuple(next_layer)
         if grew:
-            if extra_mode:
+            if k > stabilized_at + 1:
                 raise RuntimeError(
                     "closure grew after reported stabilization; stopping "
                     "criterion violated"
                 )
             stabilized_at = k
-        else:
-            if not extra_mode:
-                extra_mode = True
-                extra_left = verify_extra_steps
-            if extra_left <= 0:
-                break
-            extra_left -= 1
         layer = next_layer
-    return DeformedSubalgebraData(gb, std, generators_nf, tuple(basis),
-                                  stabilized_at)
+    return DeformedSubalgebraData(gb, quotient.standard, generators_nf,
+                                  tuple(basis), stabilized_at, quotient)

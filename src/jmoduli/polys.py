@@ -41,6 +41,15 @@ def degrevlex_key(m: Monomial) -> tuple:
     return (sum(m),) + tuple(-e for e in reversed(m))
 
 
+def _add_term(acc: dict, key, value) -> None:
+    """acc[key] += value, dropping the key when the sum cancels."""
+    c = acc.get(key, 0) + value
+    if c:
+        acc[key] = c
+    else:
+        acc.pop(key, None)
+
+
 class Polynomial:
     """Immutable sparse polynomial over Q."""
 
@@ -125,11 +134,7 @@ class Polynomial:
         self._check_arity(other)
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
-            c = terms.get(mono, Fraction(0)) + coeff
-            if c:
-                terms[mono] = c
-            else:
-                terms.pop(mono, None)
+            _add_term(terms, mono, coeff)
         return Polynomial(self.nvars, terms)
 
     def __neg__(self) -> Polynomial:
@@ -143,12 +148,7 @@ class Polynomial:
         terms: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                c = terms.get(mono, Fraction(0)) + c1 * c2
-                if c:
-                    terms[mono] = c
-                else:
-                    del terms[mono]
+                _add_term(terms, tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
         return Polynomial(self.nvars, terms)
 
     def scale(self, coeff: Fraction | int) -> Polynomial:
@@ -382,11 +382,7 @@ def parse_polynomial(text: str, nvars: int | None = None) -> Polynomial:
     acc: dict[Monomial, Fraction] = {}
     for exponents, coeff in terms:
         mono = tuple(exponents.get(i, 0) for i in range(nvars))
-        c = acc.get(mono, Fraction(0)) + coeff
-        if c:
-            acc[mono] = c
-        else:
-            acc.pop(mono, None)
+        _add_term(acc, mono, coeff)
     return Polynomial(nvars, acc)
 
 

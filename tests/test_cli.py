@@ -101,6 +101,28 @@ def test_budget_exit_code(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("option,value", [
+    ("--timeout-s", "nan"),
+    ("--timeout-s", "-1"),
+    ("--timeout-s", "-0.5"),
+    ("--max-pairs", "-1"),
+])
+def test_invalid_budget_is_a_usage_error(capsys, option, value):
+    for command in (["check", CUBIC], ["deform", CUBIC, "x0*x1*x2"]):
+        code, out, err = run(capsys, command + [f"{option}={value}"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"invalid input: {option} must be >= 0")
+        assert err.count("\n") == 1
+
+
+def test_zero_timeout_disables_the_clock(capsys):
+    code, report, _ = run_json(capsys, ["deform", CUBIC, "x0^6",
+                                        "--timeout-s", "0"])
+    assert code == 0
+    assert report["result"]["dim_extended_deformed"] == 8
+
+
 def test_moduli_cubic(capsys):
     code, report, _ = run_json(capsys, ["moduli", CUBIC])
     assert code == 0
@@ -295,7 +317,10 @@ def test_each_stage_runs_once_per_command(monkeypatch, capsys, argv,
                                           groebner_bases, closures):
     gbs = count_calls(monkeypatch, "buchberger")
     closure_calls = count_calls(monkeypatch, "deformed_subalgebra")
+    # the closure and both product tables read the quotient's memo instead
+    normal_forms = count_calls(monkeypatch, "normal_form")
     code, _, _ = run_json(capsys, argv)
     assert code == 0
     assert len(gbs) == groebner_bases
     assert len(closure_calls) == closures
+    assert normal_forms == []

@@ -222,3 +222,36 @@ def test_deformed_products_match_ordered_pair_normal_forms(f_text, g_text):
             expansion = span.expand({index[m]: c for m, c in nf.terms.items()})
             want = {x: c for x, c in enumerate(expansion) if c}
             assert alg.products[a][b] == want
+
+
+# -- the command's deadline binds inside the closure and the products --------
+
+def test_passed_deadline_stops_the_closure(monkeypatch):
+    import time
+
+    import jmoduli.jacobian as jacobian
+    from jmoduli import BudgetExceeded
+
+    # Buchberger runs to the end without the deadline; the closure gets it
+    real_gb = jacobian.jacobian_gb
+    monkeypatch.setattr(jacobian, "jacobian_gb",
+                        lambda f, max_pairs, deadline: real_gb(f, max_pairs))
+    g = parse_polynomial("x0*x1*x2", 3)
+    with pytest.raises(BudgetExceeded, match="closure|normal forms"):
+        deformed_subalgebra(CUBIC, g, CTX3, deadline=time.perf_counter() - 1)
+
+
+def test_passed_deadline_stops_the_products():
+    import time
+
+    from jmoduli import BudgetExceeded
+    from jmoduli.extended import extended_from_closure, extended_from_quotient
+
+    graded = graded_quotient(CUBIC, CTX3)
+    deformed = deformed_subalgebra(CUBIC, parse_polynomial("x0^6", 3), CTX3)
+    for data, stage in ((graded, extended_from_quotient),
+                        (deformed, extended_from_closure)):
+        stage(data, CTX3)  # fine without a deadline
+        data.quotient.deadline = time.perf_counter() - 1
+        with pytest.raises(BudgetExceeded, match="products"):
+            stage(data, CTX3)

@@ -21,6 +21,7 @@ from jmoduli import (
     standard_monomials,
 )
 from jmoduli.groebner import (
+    Quotient,
     _divides,
     _integral,
     _lcm,
@@ -338,11 +339,35 @@ WEIGHT_TABLE_FORMS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(WEIGHT_TABLE_FORMS))
+# the three directions of the deform_pencil workload; J_(f+g) is
+# inhomogeneous, so these check the memo rows the closure and the
+# products leave behind
+PENCIL_DIRECTIONS = {
+    "pencil_transverse": ("x0^4 + x1^4 + x2^4 + x3^4", "2*x0*x1*x2*x3"),
+    "pencil_quartic_jump": ("x0^4 + x1^4 + x2^4 + x3^4", "-5/3*x0^8"),
+    "pencil_cubic_jump": ("x0^3 + x1^3 + x2^3", "x0^3*x1^3*x2^3"),
+}
+
+
+@pytest.mark.parametrize("name",
+                         sorted(WEIGHT_TABLE_FORMS) + sorted(PENCIL_DIRECTIONS))
 def test_weight_table_matches_normal_form(name):
-    from jmoduli import RingContext, graded_quotient, monomials_of_weight
+    from jmoduli import (
+        RingContext, deformed_subalgebra, graded_quotient, monomials_of_weight)
+    from jmoduli.extended import extended_from_closure
     from jmoduli.groebner import weight_normal_forms
 
+    if name in PENCIL_DIRECTIONS:
+        f_text, g_text = PENCIL_DIRECTIONS[name]
+        f = parse_polynomial(f_text)
+        ctx = RingContext(f.nvars, f.nvars)
+        data = deformed_subalgebra(f, parse_polynomial(g_text, f.nvars), ctx)
+        extended_from_closure(data, ctx)
+        rows = data.quotient.rows
+        assert len(rows) > len(data.standard_basis)
+        for mono, row in rows.items():
+            assert row == normal_form(Polynomial.monomial(mono), data.gb).terms
+        return
     f = parse_polynomial(WEIGHT_TABLE_FORMS[name])
     ctx = RingContext(f.nvars, f.nvars)
     gb = graded_quotient(f, ctx).gb
@@ -387,6 +412,9 @@ def test_integer_kernel_matches_fraction_oracles(ideal):
     assert list(gb.generators) == want
     assert normal_form(probe, gb) == _reduce(
         probe, want, [g.leading_monomial() for g in want])
+    # the memo walks any ideal, zero-dimensional or not
+    one = {(0,) * gb.nvars: 1}
+    assert Quotient(gb).product(probe.terms, one) == normal_form(probe, gb).terms
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
