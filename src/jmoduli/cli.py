@@ -33,7 +33,7 @@ from .extended import (
     to_json_dict,
 )
 from .dgla import cohomology_report
-from .groebner import BudgetExceeded, check_deadline, is_zero_dimensional
+from .groebner import BudgetExceeded, is_zero_dimensional
 from .jacobian import (
     SingularDeformationError,
     SingularInputError,
@@ -263,16 +263,8 @@ def cmd_deform(args) -> int:
 def cmd_dgla(args) -> int:
     started = time.perf_counter()
     f, ctx = _parse_f(args)
-    spot = cohomology_report(f, args.degree, args.weight)
-    check_deadline(args.deadline, "the cohomology")
-    result = {
-        "degree": args.degree,
-        "weight": args.weight,
-        "dim_piece": spot["dim_piece"],
-        "dim_ker": spot["dim_ker"],
-        "dim_im_in": spot["dim_im_in"],
-        "h_dim": spot["h_dim"],
-    }
+    spot = cohomology_report(f, args.degree, args.weight, args.deadline)
+    result = {"degree": args.degree, "weight": args.weight, **spot}
     crosscheck_ok = True
     if args.degree == 1:
         data = graded_quotient(f, ctx, max_pairs=args.max_pairs,
@@ -314,8 +306,8 @@ def main(argv: "list[str] | None" = None) -> int:
             raise ValueError(f"--timeout-s must be >= 0, not {args.timeout_s}")
         if args.max_pairs < 0:
             raise ValueError(f"--max-pairs must be >= 0, not {args.max_pairs}")
-        # binds inside Buchberger, the closure and the products, and after
-        # the cohomology
+        # binds inside Buchberger, the closure, the products and the
+        # cohomology
         args.deadline = (time.perf_counter() + args.timeout_s
                          if args.timeout_s else None)
         return _COMMANDS[args.command](args)

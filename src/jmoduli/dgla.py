@@ -25,6 +25,8 @@ what makes the e-image close.  Wedge words that mix e with an odd number
 of x-direction letters do not square to zero under any sign assignment
 (y would have to square to zero for that), so graded pieces never
 enumerate mixed e-words: e enters only as a one-dimensional scalar line.
+d_f is written once, as the integer image of one term key under den * d_f
+(den the lcm of the denominators of f); the cohomology ranks those rows.
 
 The first-order space L is not a second calculus: it is the slice of the
 wedge module F spanned by one-letter words whose coefficients carry y at
@@ -54,9 +56,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 
+from .groebner import check_deadline
 from .jacobian import weight_of_or_none
-from .linalg import rank_of
+from .linalg import _integral, rank_of
 from .polys import (
     Monomial,
     Polynomial,
@@ -118,7 +122,7 @@ def _render_letter(letter) -> str:
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(p + q for p, q in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _common(values) -> "int | None":
@@ -547,47 +551,46 @@ def _letter_act(letter, t: TPolynomial) -> TPolynomial:
 
 
 def _differential(f: Polynomial, nvars: int, nu: int):
-    """d_f as a function on F elements over (nvars, nu).
+    """(row, den): row(key) is the image of the term key (word, x-exponents,
+    y-exponent) under den * d_f as {key: int}, den the lcm of f's denominators.
 
-    f is checked and its partial derivatives are taken here, once per
-    differential.  Two contributions per term: the coefficient rule
-    d(y^b) = (b mod 2) f y^{b-1}, and letter replacement d_i -> f_i del
-    and e -> sum x^k d_k - nu y del behind a Koszul sign that counts the
-    degree parity of the coefficient and of the letters crossed.
+    f is checked and its partials are taken once per differential.  Two
+    contributions per key: the coefficient rule d(y^b) = (b mod 2) f y^{b-1},
+    and letter replacement d_i -> f_i del and e -> sum x^k d_k - nu y del
+    behind a Koszul sign that counts the degree parity of the coefficient
+    and of the letters crossed.
     """
     if f.nvars != nvars:
         raise ValueError("arity mismatch")
     if f.is_zero() or weight_of_or_none(f) != nu:
         raise ValueError("f must be homogeneous of weight nu")
-    f_terms = tuple(f.terms.items())
-    # letter -> (replacement letter, y shift, coefficient terms) triples
-    images = {i: [(DEL, 0, tuple(f.partial_derivative(i).terms.items()))]
+    f_terms, den = _integral(f.terms)
+    # letter -> (replacement letter, y shift, integer coefficient terms)
+    images = {i: [(DEL, 0, tuple((m, int(den * c)) for m, c in
+                                 f.partial_derivative(i).terms.items()))]
               for i in range(nvars)}
-    images[E] = [(k, 0, ((tuple(int(i == k) for i in range(nvars)), 1),))
+    images[E] = [(k, 0, ((tuple(int(i == k) for i in range(nvars)), den),))
                  for k in range(nvars)]
-    images[E].append((DEL, 1, (((0,) * nvars, -nu),)))
+    images[E].append((DEL, 1, (((0,) * nvars, -nu * den),)))
 
-    def apply(a: FElement) -> FElement:
+    def row(key) -> dict:
+        word, mono, yexp = key
         out: dict = {}
-        for (word, mono, yexp), v in a.terms.items():
-            if yexp % 2:
-                for m, c in f_terms:
-                    _add_term(out, (word, _mono_mul(mono, m), yexp - 1), v * c)
-            crossed = yexp
-            for pos, letter in enumerate(word):
-                for new, dy, coeff in images.get(letter, ()):
-                    sw, sg = _sort_word(word[:pos] + (new,) + word[pos + 1:],
-                                        nvars)
-                    if not sg:
-                        continue
-                    s = sg * _sign(crossed) * v
+        if yexp % 2:
+            for m, c in f_terms.items():
+                _add_term(out, (word, _mono_mul(mono, m), yexp - 1), c)
+        crossed = yexp
+        for pos, letter in enumerate(word):
+            for new, dy, coeff in images.get(letter, ()):
+                sw, sg = _sort_word(word[:pos] + (new,) + word[pos + 1:], nvars)
+                if sg:
+                    s = sg * _sign(crossed)
                     for m, c in coeff:
-                        _add_term(out, (sw, _mono_mul(mono, m), yexp + dy),
-                                  s * c)
-                crossed += _letter_fdeg(letter)
-        return a._of(a.nvars, a.nu, out)
+                        _add_term(out, (sw, _mono_mul(mono, m), yexp + dy), s * c)
+            crossed += _letter_fdeg(letter)
+        return out
 
-    return apply
+    return row, den
 
 
 def d_f_apply_F(a: FElement, f: Polynomial) -> FElement:
@@ -596,7 +599,12 @@ def d_f_apply_F(a: FElement, f: Polynomial) -> FElement:
     Raises degree by 1, preserves weight and squares to zero; on the
     first-order slice L it is the differential of the first-order complex.
     """
-    return _differential(f, a.nvars, a.nu)(a)
+    row, den = _differential(f, a.nvars, a.nu)
+    out: dict = {}
+    for key, v in a.terms.items():
+        for k, c in row(key).items():
+            _add_term(out, k, v * c)
+    return a._of(a.nvars, a.nu, {k: v / den for k, v in out.items()})
 
 
 d_f_apply = d_f_apply_F
@@ -751,7 +759,7 @@ def _context_of(f: Polynomial) -> tuple[int, int]:
 
 
 def graded_piece(f: Polynomial, degree: int, weight: int,
-                 space: str = "L") -> GradedPiece:
+                 space: str = "L", deadline: float | None = None) -> GradedPiece:
     """Monomial basis of the (degree, weight) piece of L or of F^k.
 
     For space "Fk" (word length k) the enumeration covers all e-free
@@ -763,7 +771,8 @@ def graded_piece(f: Polynomial, degree: int, weight: int,
     most once, returned as DerivationElement views: the five generator
     shapes x^a y d_i, x^a d_i, x^a y del, x^a del and the line through e,
     in degrees -1, 0, 1.  The cap on y makes it a subcomplex: the
-    differential maps each shape into the others.
+    differential maps each shape into the others.  Each word checks the
+    time.perf_counter() deadline.
     """
     nvars, nu = _context_of(f)
     if space == "L":
@@ -780,44 +789,48 @@ def graded_piece(f: Polynomial, degree: int, weight: int,
     words = [tuple(subset) + (DEL,) * ndel
              for ndel in range(k + 1)
              for subset in combinations(range(nvars), k - ndel)]
-    basis = []
+    basis, one = [], Fraction(1)
     for word in words:
+        check_deadline(deadline, "the graded pieces")
         yexp = _word_fdeg(word) - fdeg
         if yexp < 0 or (ymax is not None and yexp > ymax):
             continue
         xw = weight - yexp * nu - _word_weight(word, nu)
-        basis += [cls._of(nvars, nu, {(word, mono, yexp): Fraction(1)})
+        basis += [cls._of(nvars, nu, {(word, mono, yexp): one})
                   for mono in monomials_of_weight(nvars, xw)]
     if k == 1 and fdeg == 0 and weight == 0:
-        basis.append(cls._of(nvars, nu, {((E,), (0,) * nvars, 0): Fraction(1)}))
+        basis.append(cls._of(nvars, nu, {((E,), (0,) * nvars, 0): one}))
     return GradedPiece(degree, weight, tuple(basis))
 
 
-def _boundary_rank(d_f, src: GradedPiece, dst: GradedPiece) -> int:
-    if not src.basis:
-        return 0
+def _boundary_rank(row, src: GradedPiece, dst: GradedPiece,
+                   deadline: float | None) -> int:
+    """Rank of the integer rows row(key) for the basis keys of src, in the
+    coordinates of dst; each row checks the deadline."""
     index = {key: col for col, b in enumerate(dst.basis) for key in b.terms}
     rows = []
-    for v in src.basis:
+    for (key,) in (b.terms for b in src.basis):
+        check_deadline(deadline, "the cohomology")
         try:
-            rows.append({index[k]: c for k, c in d_f(v).terms.items()})
+            rows.append({index[k]: c for k, c in row(key).items()})
         except KeyError as exc:
             raise RuntimeError(
                 f"differential left the enumerated piece at {exc}") from exc
     return rank_of(rows, len(index))
 
 
-def cohomology_report(f: Polynomial, degree: int, weight: int) -> dict:
+def cohomology_report(f: Polynomial, degree: int, weight: int,
+                      deadline: float | None = None) -> dict:
     """Dimensions at one (degree, weight) spot of the first-order complex.
 
-    Returns piece, kernel, incoming-image and cohomology dimensions.
+    Returns piece, kernel, incoming-image and cohomology dimensions, from
+    the ranks of den * d_f: scaling rows keeps a rank, and keeps it integral.
     """
-    d_f = _differential(f, *_context_of(f))
-    here = graded_piece(f, degree, weight, "L")
-    above = graded_piece(f, degree + 1, weight, "L")
-    below = graded_piece(f, degree - 1, weight, "L")
-    rank_out = _boundary_rank(d_f, here, above)
-    rank_in = _boundary_rank(d_f, below, here)
+    row, _ = _differential(f, *_context_of(f))
+    here, above, below = (graded_piece(f, d, weight, "L", deadline)
+                          for d in (degree, degree + 1, degree - 1))
+    rank_out = _boundary_rank(row, here, above, deadline)
+    rank_in = _boundary_rank(row, below, here, deadline)
     dim_ker = here.dimension - rank_out
     return {
         "dim_piece": here.dimension,

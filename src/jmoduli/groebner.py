@@ -25,11 +25,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from math import gcd, lcm
+from math import gcd
 from operator import add, le
 
-from .linalg import _add_scaled
+from .linalg import _add_scaled, _integral, _primitive
 from .polys import Monomial, Polynomial, degrevlex_key, monomials_of_weight
 
 IntTerms = dict[Monomial, int]
@@ -97,21 +96,6 @@ def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     left = f.times_monomial(_quotient(top, lmf), 1 / f.leading_coefficient())
     right = g.times_monomial(_quotient(top, lmg), 1 / g.leading_coefficient())
     return left - right
-
-
-def _integral(terms: dict[Monomial, Fraction]) -> tuple[IntTerms, int]:
-    """(den * terms as integers, den) for the least common denominator."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return {m: c.numerator * (den // c.denominator)
-            for m, c in terms.items()}, den
-
-
-def _primitive(terms: IntTerms, lm: Monomial) -> IntTerms:
-    """terms divided by their content, signed so the entry at lm is > 0."""
-    content = gcd(*terms.values())
-    if terms[lm] < 0:
-        content = -content
-    return {m: c // content for m, c in terms.items()}
 
 
 def _divide(
@@ -380,14 +364,28 @@ def standard_monomials(gb: GroebnerBasis) -> list[Monomial]:
     """Monomials divisible by no leading monomial, ascending degrevlex.
 
     Their classes form a basis of the quotient; requires a
-    zero-dimensional ideal.
+    zero-dimensional ideal.  Built one degree at a time: a standard m is
+    x_i * s for its last variable i and a standard s, made once, and a
+    leading monomial dividing m has m's exponent of x_i (else it divides s).
     """
     if not is_zero_dimensional(gb):
         raise ValueError("infinite quotient")
-    lms = gb.leads
-    bounds = [min(lm[var] for lm in lms if _is_power_of(lm, var))
-              for var in range(gb.nvars)]
-    out = [mono for mono in product(*map(range, bounds))
-           if not any(_divides(lm, mono) for lm in lms)]
-    out.sort(key=degrevlex_key)
+    by_exponent: dict[tuple[int, int], list[Monomial]] = {}
+    for lm in gb.leads:
+        for var, e in enumerate(lm):
+            by_exponent.setdefault((var, e), []).append(lm)
+    # (standard monomial, its last variable), one degree at a time
+    layer = [] if any(not sum(lm) for lm in gb.leads) else [((0,) * gb.nvars, 0)]
+    out = []
+    while layer:
+        out += [m for m, _ in layer]
+        grown = []
+        for s, last in layer:
+            for var in range(last, gb.nvars):
+                m = s[:var] + (s[var] + 1,) + s[var + 1:]
+                if not any(_divides(lm, m)
+                           for lm in by_exponent.get((var, m[var]), ())):
+                    grown.append((m, var))
+        # within one degree, degrevlex ascends as the reversed tuple descends
+        layer = sorted(grown, key=lambda pair: pair[0][::-1], reverse=True)
     return out

@@ -1,19 +1,22 @@
-"""Exact linear algebra over Q on sparse {column: Fraction} rows.
+"""Exact linear algebra over Q on sparse {column: value} rows.
 
-One kernel, _eliminate, serves rref/rank_of (forward elimination, then
-back-substitution for rref) and the incremental Span, which keeps its
-rows fully reduced so membership tests are a single elimination pass.
-Vectors go in as dense lists of Fractions or sparse dicts; rref,
-Span.basis_rows and Span.expand return dense lists, Span.coordinates
-the sparse form.
+One kernel, _eliminate, serves rank_of and rref (forward elimination,
+then back-substitution for rref) and the incremental Span.  rank_of and
+rref run fraction-free (Bareiss, Math. Comp. 22, 1968): a row is scaled
+to integers once, on entry, and stored primitive; rref divides by its
+pivots on output.  Span keeps Fraction rows reduced to 1 at each pivot,
+since its coordinates are rational.  Vectors go in as dense lists or
+sparse dicts; rref, Span.basis_rows and Span.expand return dense lists of
+Fractions, Span.coordinates the sparse form.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from math import gcd, lcm
 
-Row = dict[int, Fraction]
+Row = dict[int, Fraction]  # or dict[int, int] in the integer kernel
 Vector = list[Fraction] | Row
 
 
@@ -32,6 +35,21 @@ def _dense(row: Row, ncols: int) -> list[Fraction]:
     return [row.get(col, Fraction(0)) for col in range(ncols)]
 
 
+def _integral(terms: dict) -> tuple[dict, int]:
+    """(den * terms as integers, den) for the least common denominator."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (den // c.denominator)
+            for k, c in terms.items()}, den
+
+
+def _primitive(terms: dict, lead) -> dict:
+    """Integer terms over their content, signed so the entry at lead is > 0."""
+    content = gcd(*terms.values())
+    if terms[lead] < 0:
+        content = -content
+    return {k: c // content for k, c in terms.items()}
+
+
 def _add_scaled(target: Row, scale: Fraction, row: Row) -> None:
     """target += scale * row, in place, dropping entries that cancel."""
     for col, x in row.items():
@@ -45,10 +63,12 @@ def _add_scaled(target: Row, scale: Fraction, row: Row) -> None:
 def _eliminate(vec: Row, rows: dict[int, Row]) -> Row:
     """Subtract rows from vec in place until no pivot of rows is left in it.
 
-    rows maps a pivot column to a row with entry 1 there and no entries
-    left of it.  Pivots are cleared in increasing column order, so entries
-    that a subtraction brings in further right are cleared as well.
-    Returns the multiple of each row that was subtracted, by pivot.
+    rows maps a pivot column to a row with entry 1 there, or a positive
+    integer a for integer rows and vec, and no entries left of it.  An
+    integer step first scales vec by a / gcd(a, b), b its entry there.
+    Pivots are cleared in increasing column order, so entries that a
+    subtraction brings in further right are cleared as well.  Returns the
+    multiple of each row that was subtracted, by pivot.
     """
     coeffs: Row = {}
     todo = [col for col in vec if col in rows]
@@ -58,23 +78,23 @@ def _eliminate(vec: Row, rows: dict[int, Row]) -> Row:
         c = vec.get(piv)
         if not c:
             continue
+        row = rows[piv]
+        if row[piv] != 1:
+            g = gcd(row[piv], c)
+            c //= g
+            for col in vec:
+                vec[col] *= row[piv] // g
         coeffs[piv] = c
-        for col in rows[piv]:
+        for col in row:
             if col not in vec and col in rows:
                 heapq.heappush(todo, col)
-        _add_scaled(vec, -c, rows[piv])
+        _add_scaled(vec, -c, row)
     return coeffs
 
 
-def _normalized(vec: Row) -> tuple[int, Fraction, Row]:
-    """(pivot, 1 / entry at pivot, vec scaled to 1 there) for nonzero vec."""
-    piv = min(vec)
-    inv = 1 / vec[piv]
-    return piv, inv, {col: x * inv for col, x in vec.items()}
-
-
 def _echelon(rows: list[Vector], ncols: int | None) -> tuple[dict[int, Row], int]:
-    """Forward elimination only: echelon rows keyed by pivot, and ncols."""
+    """Forward elimination only: primitive integer rows keyed by pivot, and
+    ncols."""
     if ncols is None:
         if isinstance(rows[0], dict):
             raise ValueError("ncols is required when the first row is sparse")
@@ -82,10 +102,12 @@ def _echelon(rows: list[Vector], ncols: int | None) -> tuple[dict[int, Row], int
     echelon: dict[int, Row] = {}
     for vec in rows:
         v = _sparse(vec, ncols, "ragged matrix")
+        if not all(type(x) is int for x in v.values()):
+            v = _integral(v)[0]
         _eliminate(v, echelon)
         if v:
-            piv, _, row = _normalized(v)
-            echelon[piv] = row
+            piv = min(v)
+            echelon[piv] = _primitive(v, piv)
     return echelon, ncols
 
 
@@ -103,11 +125,11 @@ def rref(
     echelon, ncols = _echelon(rows, ncols)
     reduced: dict[int, Row] = {}
     for piv in sorted(echelon, reverse=True):
-        row = echelon[piv]
-        _eliminate(row, reduced)
-        reduced[piv] = row
+        _eliminate(echelon[piv], reduced)
+        reduced[piv] = _primitive(echelon[piv], piv)
     pivots = sorted(reduced)
-    return [_dense(reduced[p], ncols) for p in pivots], len(pivots), pivots
+    return [[Fraction(reduced[p].get(col, 0), reduced[p][p])
+             for col in range(ncols)] for p in pivots], len(pivots), pivots
 
 
 def rank_of(rows: list[Vector], ncols: int | None = None) -> int:
@@ -150,7 +172,9 @@ class Span:
         v, coeffs = self._reduce(vec)
         if not v:
             return False
-        piv, inv, v = _normalized(v)
+        piv = min(v)
+        inv = 1 / v[piv]
+        v = {col: x * inv for col, x in v.items()}
         combo: Row = {}
         if self._track:
             # vec = sum coeffs[p] * row_p + residue, so the new reduced row

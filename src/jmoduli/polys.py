@@ -222,21 +222,18 @@ class RingContext:
 
 
 def monomials_of_weight(nvars: int, weight: int) -> list[Monomial]:
-    """All exponent tuples of the given total degree, ascending degrevlex."""
+    """All exponent tuples of the given total degree, ascending degrevlex.
+
+    That order runs the last exponent down, then the one before it, and so
+    on: the tuples grow from the last variable in that order, unsorted.
+    """
     if weight < 0:
         return []
-    out: list[Monomial] = []
-
-    def rec(prefix: list[int], remaining: int, slot: int) -> None:
-        if slot == nvars - 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, slot + 1)
-
-    rec([], weight, 0)
-    out.sort(key=degrevlex_key)
-    return out
+    tails: list[tuple[Monomial, int]] = [((), weight)]
+    for _ in range(nvars - 1):
+        tails = [((e,) + tail, rest - e) for tail, rest in tails
+                 for e in range(rest, -1, -1)]
+    return [(rest,) + tail for tail, rest in tails]
 
 
 # ---------------------------------------------------------------------------

@@ -285,6 +285,15 @@ def test_timeout_stops_buchberger(src_env):
     assert elapsed < 2 * limit + startup
 
 
+def test_timeout_binds_inside_the_cohomology(capsys):
+    code, out, err = run(capsys, ["dgla", "x0^5 + x1^5 + x2^5 + x3^5 + x4^5",
+                                  "--degree", "0", "--weight", "8",
+                                  "--timeout-s", "1e-9"])
+    assert code == 3
+    assert out == ""
+    assert err == "budget exceeded: wall clock budget exceeded in the graded pieces\n"
+
+
 def test_human_output_mentions_dimensions(capsys):
     code, out, _ = run(capsys, ["moduli", CUBIC])
     assert code == 0

@@ -291,6 +291,15 @@ def test_cohomology_report_fields():
     assert report == {"dim_piece": 1, "dim_ker": 1, "dim_im_in": 0, "h_dim": 1}
 
 
+def test_passed_deadline_stops_the_cohomology():
+    import time
+
+    from jmoduli import BudgetExceeded
+
+    with pytest.raises(BudgetExceeded, match="graded pieces"):
+        cohomology_report(QUARTIC, 0, 4, deadline=time.perf_counter() - 1)
+
+
 # ---------------------------------------------------------------------------
 # oracles: the first-order pieces, differential and bracket written
 # generator by generator on the parts (xi_parts, del_part, e_part) in T
@@ -393,6 +402,8 @@ ORACLE_FORMS = {
     "quartic": (QUARTIC, 5680),
     "quartic-x0x1x2x3": (
         parse_polynomial("x0^4 + x1^4 + x2^4 + x3^4 + x0*x1*x2*x3"), 5680),
+    # den = 2: the differential clears it and divides it back out
+    "cubic-rational": (parse_polynomial("x0^3 + x1^3 + x2^3 - 3/2*x0*x1*x2"), 770),
 }
 
 

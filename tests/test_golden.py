@@ -44,6 +44,11 @@ CASES = {
     # for words at all
     "dgla_conic": ["dgla", "x0^2 + x1^2", "--degree", "0", "--weight", "0"],
     "dgla_linear": ["dgla", "x0", "--degree", "0", "--weight", "0"],
+    # rational coefficients: the differential clears their denominators
+    "dgla_cubic_rational": ["dgla", "x0^3 + x1^3 + x2^3 - 3/2*x0*x1*x2",
+                            "--degree", "1", "--weight=-3"],
+    "dgla_quartic_rational": ["dgla", QUARTIC + " + 2/3*x0^2*x1*x2",
+                              "--degree", "0", "--weight", "4"],
 }
 
 

@@ -3,6 +3,7 @@
 import heapq
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -415,6 +416,50 @@ def test_integer_kernel_matches_fraction_oracles(ideal):
     # the memo walks any ideal, zero-dimensional or not
     one = {(0,) * gb.nvars: 1}
     assert Quotient(gb).product(probe.terms, one) == normal_form(probe, gb).terms
+
+
+def box_scan(gb):
+    """The staircase by scanning the box under the pure-power leads."""
+    lms = gb.leads
+    bounds = [min(lm[var] for lm in lms if sum(lm) == lm[var])
+              for var in range(gb.nvars)]
+    return sorted((m for m in product(*map(range, bounds))
+                   if not any(_divides(lm, m) for lm in lms)),
+                  key=degrevlex_key)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(random_ideals())
+def test_staircase_matches_box_scan_on_random_ideals(ideal):
+    gb = buchberger(ideal[0])
+    if is_zero_dimensional(gb):
+        assert standard_monomials(gb) == box_scan(gb)
+
+
+QUINTIC = WEIGHT_TABLE_FORMS["fermat_quintic"]
+STAIRCASE_IDEALS = {
+    "fermat_quintic": (QUINTIC, None),
+    # the two quintic shapes of the moduli_mix workload: one term on two
+    # and on three variables
+    "quintic_term_on_two": (QUINTIC + " - 3*x1^2*x3^3", None),
+    "quintic_term_on_three": (QUINTIC + " + 2*x0*x2^3*x4", None),
+    "dense_quartic": (WEIGHT_TABLE_FORMS["dense_quartic"], None),
+    **PENCIL_DIRECTIONS,
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAIRCASE_IDEALS))
+def test_staircase_matches_box_scan(name):
+    from jmoduli import jacobian_gb
+
+    f_text, g_text = STAIRCASE_IDEALS[name]
+    f = parse_polynomial(f_text)
+    if g_text is not None:
+        f = f + parse_polynomial(g_text, f.nvars)
+    gb = jacobian_gb(f)
+    std = standard_monomials(gb)
+    assert std == box_scan(gb)
+    assert len(std) == len(set(std))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -241,3 +241,37 @@ def test_sparse_core_matches_dense_reference(matrix, data):
         assert expansion is None
     else:
         assert combine(expansion, accepted, ncols) == probe
+
+
+# -- integer rows: the fraction-free kernel on large entries -----------------
+
+
+def big_entries():
+    """Integers up to 10**30, small ones, and zeros, about a third each."""
+    return st.one_of(st.just(0), st.integers(-3, 3),
+                     st.integers(-10**30, 10**30))
+
+
+@st.composite
+def integer_matrices(draw):
+    ncols = draw(st.integers(1, 6))
+    row = st.lists(big_entries(), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    # an integer combination of two rows, so ranks fall short as well
+    a, b = draw(st.integers(-10**30, 10**30)), draw(st.integers(-5, 5))
+    i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+    rows.insert(draw(st.integers(0, len(rows))),
+                [a * x + b * y for x, y in zip(rows[i], rows[j])])
+    return ncols, rows
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(integer_matrices(), st.booleans())
+def test_integer_rows_match_dense_reference(matrix, sparse):
+    ncols, rows = matrix
+    inputs = [as_input(r, sparse) for r in rows]
+    want = dense_rref([[Fraction(x) for x in r] for r in rows])
+    assert rank_of(inputs, ncols) == want[1]
+    assert rref(inputs, ncols) == want
+    assert all(type(x) is int for r in inputs
+               for x in (r.values() if sparse else r))  # input untouched

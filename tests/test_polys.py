@@ -1,6 +1,7 @@
 """Polynomial arithmetic, ordering, and the text format."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -107,6 +108,12 @@ def test_monomials_of_weight():
     assert monomials_of_weight(3, -1) == []
     # binomial(w + n - 1, n - 1) many
     assert len(monomials_of_weight(4, 4)) == 35
+    for nvars in range(1, 6):
+        for weight in range(-1, 6):
+            box = [m for m in product(range(weight + 1), repeat=nvars)
+                   if sum(m) == weight]
+            assert monomials_of_weight(nvars, weight) == sorted(
+                box, key=degrevlex_key)
 
 
 # -- arithmetic laws (randomized) --------------------------------------------
