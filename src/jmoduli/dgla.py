@@ -58,9 +58,8 @@ from fractions import Fraction
 from itertools import combinations
 from operator import add
 
-from .groebner import check_deadline
 from .jacobian import weight_of_or_none
-from .linalg import _integral, rank_of
+from .linalg import _integral, check_deadline, rank_of
 from .polys import (
     Monomial,
     Polynomial,
@@ -806,17 +805,20 @@ def graded_piece(f: Polynomial, degree: int, weight: int,
 def _boundary_rank(row, src: GradedPiece, dst: GradedPiece,
                    deadline: float | None) -> int:
     """Rank of the integer rows row(key) for the basis keys of src, in the
-    coordinates of dst; each row checks the deadline."""
+    coordinates of dst.  Each row is built as the elimination takes it, so
+    the elimination's deadline check, once per row, covers both."""
     index = {key: col for col, b in enumerate(dst.basis) for key in b.terms}
-    rows = []
-    for (key,) in (b.terms for b in src.basis):
-        check_deadline(deadline, "the cohomology")
-        try:
-            rows.append({index[k]: c for k, c in row(key).items()})
-        except KeyError as exc:
-            raise RuntimeError(
-                f"differential left the enumerated piece at {exc}") from exc
-    return rank_of(rows, len(index))
+
+    def rows():
+        for (key,) in (b.terms for b in src.basis):
+            try:
+                vec = {index[k]: c for k, c in row(key).items()}
+            except KeyError as exc:
+                raise RuntimeError(
+                    f"differential left the enumerated piece at {exc}") from exc
+            yield vec
+
+    return rank_of(rows(), len(index), deadline)
 
 
 def cohomology_report(f: Polynomial, degree: int, weight: int,

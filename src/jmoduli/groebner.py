@@ -14,39 +14,43 @@ instead of dividing, and the next monomial comes off a heap.  It serves
 Buchberger and normal_form.  Everything downstream of a basis reads its
 normal forms from one Quotient per basis: the staircase and a memo of
 monomial normal forms.
+
+Hilbert drive (Traverso, JSC 22, 1996): for n homogeneous generators of
+degrees d_i, dim (S/I)_d >= HF(d), the t^d coefficient of
+prod (1 - t^d_i) / (1 - t)^n, as the Macaulay matrix rank is lower
+semicontinuous and generic such forms are a regular sequence.  So once
+the staircase of the current leads has HF(d) monomials in degree d, the
+leads fill that degree of the leading ideal, and a pair of degree d is
+skipped undivided: it reduces to zero.  Where dim (S/I)_d > HF(d), as
+for singular f, pairs are divided as before.  The staircase grows one
+layer at a time, each checking the deadline.  The drive stops for good
+when a layer on the way to a pair's degree has, by HF or in fact, more
+than n monomials per pair left: growing the layers would cost more than
+the divisions they could save.
+standard_monomials builds the same layers.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import gcd
+from functools import cache, cached_property
+from math import comb, gcd
 from operator import add, le
 
-from .linalg import _add_scaled, _integral, _primitive
+from .linalg import (BudgetExceeded, _add_scaled, _integral, _primitive,
+                     check_deadline)
 from .polys import Monomial, Polynomial, degrevlex_key, monomials_of_weight
+from .stats import Stats
 
 IntTerms = dict[Monomial, int]
 
 
 class MonomialOrder(enum.Enum):
     DEGREVLEX = "degrevlex"
-
-
-class BudgetExceeded(RuntimeError):
-    """Raised when Buchberger's pair budget or the wall-clock deadline
-    runs out."""
-
-
-def check_deadline(deadline: float | None, stage: str) -> None:
-    """Raise BudgetExceeded once time.perf_counter() is past deadline."""
-    if deadline is not None and time.perf_counter() > deadline:
-        raise BudgetExceeded(f"wall clock budget exceeded in {stage}")
 
 
 @dataclass(frozen=True)
@@ -263,13 +267,16 @@ def buchberger(
     order: MonomialOrder = MonomialOrder.DEGREVLEX,
     max_pairs: int = 10**6,
     deadline: float | None = None,
+    stats: Stats | None = None,
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
     Zero generators are discarded; an all-zero input is an error.  The
     number of critical pairs examined is capped by max_pairs, and each
     popped pair checks the time.perf_counter() deadline; running past
-    either raises BudgetExceeded.
+    either raises BudgetExceeded.  Exactly nvars homogeneous generators
+    turn on the Hilbert drive (module docstring).  stats counts pairs,
+    skipped_criteria, skipped_hilbert, zero_reductions and basis_len.
     """
     if order is not MonomialOrder.DEGREVLEX:
         raise ValueError(f"unsupported monomial order: {order}")
@@ -282,6 +289,19 @@ def buchberger(
             raise ValueError("generators have mixed arity")
     lms = [g.leading_monomial() for g in basis]  # kept in step with working
     working = [_primitive(_integral(g.terms)[0], lm) for g, lm in zip(basis, lms)]
+    stair = None
+    if len(basis) == nvars and all(g.is_homogeneous() for g in basis):
+        stair = _Staircase(nvars, lms)
+        # HF(d) sums c * C(d - k + n - 1, n - 1) over the at most 2^n
+        # terms c * t^k of prod (1 - t^deg g), so any degree costs the same
+        num = {0: 1}
+        for e in map(sum, lms):
+            for k, c in list(num.items()):
+                num[k + e] = num.get(k + e, 0) - c
+        hilbert = cache(lambda d: sum(c * comb(d - k + nvars - 1, nvars - 1)
+                                      for k, c in num.items() if k <= d))
+    tally = dict.fromkeys(
+        ("skipped_criteria", "skipped_hilbert", "zero_reductions"), 0)
 
     # pending pairs as (degrevlex_key(lcm), i, j, lcm): popped smallest lcm
     # first, ties broken by (i, j)
@@ -304,16 +324,28 @@ def buchberger(
             raise BudgetExceeded(f"pair budget {max_pairs} exceeded")
         check_deadline(deadline, "Buchberger")
         lmi, lmj = lms[i], lms[j]
-        # first criterion: coprime leading monomials reduce to zero
-        if all(a == 0 or b == 0 for a, b in zip(lmi, lmj)):
-            continue
-        # chain criterion: a third generator splits the pair
-        if any(
+        # first criterion (coprime leading monomials) or chain criterion
+        # (a third generator splits the pair): the pair reduces to zero
+        if all(a == 0 or b == 0 for a, b in zip(lmi, lmj)) or any(
             k != i and k != j and _divides(lms[k], lcm_ij)
             and (min(i, k), max(i, k)) in treated
             and (min(j, k), max(j, k)) in treated
             for k in range(len(working))
         ):
+            tally["skipped_criteria"] += 1
+            continue
+        # Hilbert drive: the leads already fill their degree of the ideal.
+        # It stops for good once a layer on the way to this degree has, by
+        # the bound or in fact, more than nvars monomials per pair left.
+        degree, budget = sum(lcm_ij), nvars * (len(queue) + 1)
+        if stair and any(hilbert(e) > budget
+                         for e in range(len(stair.layers), degree + 1)):
+            stair = None
+        layer = stair and stair.layer(degree, budget, deadline)
+        if layer is None:
+            stair = None
+        elif len(layer) == hilbert(degree):
+            tally["skipped_hilbert"] += 1
             continue
         remainder, _ = _divide(
             _spair(working[i], lmi, working[j], lmj, lcm_ij), working, lms)
@@ -321,8 +353,12 @@ def buchberger(
             t = len(working)
             lms.append(next(iter(remainder)))
             working.append(_primitive(remainder, lms[t]))
+            if stair:
+                stair.add(lms[t])
             for k in range(t):
                 push(k, t)
+        else:
+            tally["zero_reductions"] += 1
 
     # minimalize: drop generators whose leading monomial is divisible by
     # another's, keeping the degrevlex-smallest representatives
@@ -343,7 +379,11 @@ def buchberger(
         lc = tail[lm]
         reduced.append(Polynomial(
             nvars, {m: Fraction(c, lc) for m, c in tail.items()}))
-    return GroebnerBasis(tuple(reduced), order, nvars)
+    gb = GroebnerBasis(tuple(reduced), order, nvars)
+    if stats is not None:
+        for key, n in dict(pairs=examined, **tally, basis_len=len(gb)).items():
+            stats.count(key, n)
+    return gb
 
 
 def _is_power_of(lm: Monomial, var: int) -> bool:
@@ -360,32 +400,62 @@ def is_zero_dimensional(gb: GroebnerBasis) -> bool:
                for var in range(gb.nvars))
 
 
+class _Staircase:
+    """The standard monomials under a growing set of leads, one layer per
+    degree, as (monomial, its last variable) pairs.  Layer d + 1 is x_i * s
+    for s in layer d and i at least the last variable of s, so each is made
+    once, less the multiples of a lead; a lead dividing m = x_i * s has m's
+    exponent of x_i, else it divides the standard s.  Leads come in degree
+    order, with no layer above their degree built yet, so a lead removes
+    itself from its layer and nothing else."""
+
+    def __init__(self, nvars: int, leads: Sequence[Monomial]) -> None:
+        self.by_exponent: dict[tuple[int, int], list[Monomial]] = {}
+        self.layers = [[((0,) * nvars, 0)]]
+        for lm in leads:
+            self.add(lm)
+
+    def add(self, lm: Monomial) -> None:
+        for var, e in enumerate(lm):
+            self.by_exponent.setdefault((var, e), []).append(lm)
+        if sum(lm) < len(self.layers):
+            self.layers[sum(lm)] = [p for p in self.layers[sum(lm)] if p[0] != lm]
+
+    def layer(
+        self, degree: int, budget: int | None = None,
+        deadline: float | None = None,
+    ) -> list[tuple[Monomial, int]] | None:
+        """The layer of one degree, or None when a layer it would grow
+        from has more than budget monomials.  Each grown layer checks the
+        time.perf_counter() deadline."""
+        layers, by_exponent = self.layers, self.by_exponent
+        while len(layers) <= degree:
+            if budget is not None and len(layers[-1]) > budget:
+                return None
+            check_deadline(deadline, "Buchberger")
+            # degrevlex ascends as the reversed tuple descends in one degree
+            layers.append(sorted([
+                (m, var) for s, last in layers[-1] for var in range(last, len(s))
+                for m in [s[:var] + (s[var] + 1,) + s[var + 1:]]
+                if not any(_divides(lm, m)
+                           for lm in by_exponent.get((var, m[var]), ()))
+            ], key=lambda pair: pair[0][::-1], reverse=True))
+        return layers[degree]
+
+    def complete(self) -> list[Monomial]:
+        """Every standard monomial, ascending degrevlex, once the layers
+        end (a zero-dimensional ideal)."""
+        while self.layers[-1]:
+            self.layer(len(self.layers))
+        return [m for layer in self.layers for m, _ in layer]
+
+
 def standard_monomials(gb: GroebnerBasis) -> list[Monomial]:
     """Monomials divisible by no leading monomial, ascending degrevlex.
 
     Their classes form a basis of the quotient; requires a
-    zero-dimensional ideal.  Built one degree at a time: a standard m is
-    x_i * s for its last variable i and a standard s, made once, and a
-    leading monomial dividing m has m's exponent of x_i (else it divides s).
+    zero-dimensional ideal.
     """
     if not is_zero_dimensional(gb):
         raise ValueError("infinite quotient")
-    by_exponent: dict[tuple[int, int], list[Monomial]] = {}
-    for lm in gb.leads:
-        for var, e in enumerate(lm):
-            by_exponent.setdefault((var, e), []).append(lm)
-    # (standard monomial, its last variable), one degree at a time
-    layer = [] if any(not sum(lm) for lm in gb.leads) else [((0,) * gb.nvars, 0)]
-    out = []
-    while layer:
-        out += [m for m, _ in layer]
-        grown = []
-        for s, last in layer:
-            for var in range(last, gb.nvars):
-                m = s[:var] + (s[var] + 1,) + s[var + 1:]
-                if not any(_divides(lm, m)
-                           for lm in by_exponent.get((var, m[var]), ())):
-                    grown.append((m, var))
-        # within one degree, degrevlex ascends as the reversed tuple descends
-        layer = sorted(grown, key=lambda pair: pair[0][::-1], reverse=True)
-    return out
+    return _Staircase(gb.nvars, gb.leads).complete()

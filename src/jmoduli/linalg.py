@@ -7,17 +7,30 @@ to integers once, on entry, and stored primitive; rref divides by its
 pivots on output.  Span keeps Fraction rows reduced to 1 at each pivot,
 since its coordinates are rational.  Vectors go in as dense lists or
 sparse dicts; rref, Span.basis_rows and Span.expand return dense lists of
-Fractions, Span.coordinates the sparse form.
+Fractions, Span.coordinates the sparse form.  check_deadline, the one
+wall-clock check of every stage, lives here, the lowest module.
 """
 
 from __future__ import annotations
 
 import heapq
+import time
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, lcm
 
 Row = dict[int, Fraction]  # or dict[int, int] in the integer kernel
 Vector = list[Fraction] | Row
+
+
+class BudgetExceeded(RuntimeError):
+    """Raised when Buchberger's pair budget or a wall-clock deadline runs out."""
+
+
+def check_deadline(deadline: float | None, stage: str) -> None:
+    """Raise BudgetExceeded once time.perf_counter() is past deadline."""
+    if deadline is not None and time.perf_counter() > deadline:
+        raise BudgetExceeded(f"wall clock budget exceeded in {stage}")
 
 
 def _sparse(vec: Vector, ncols: int, length_error: str) -> Row:
@@ -92,15 +105,17 @@ def _eliminate(vec: Row, rows: dict[int, Row]) -> Row:
     return coeffs
 
 
-def _echelon(rows: list[Vector], ncols: int | None) -> tuple[dict[int, Row], int]:
+def _echelon(rows: Iterable[Vector], ncols: int | None,
+             deadline: float | None = None) -> tuple[dict[int, Row], int]:
     """Forward elimination only: primitive integer rows keyed by pivot, and
-    ncols."""
+    ncols.  Each row checks the time.perf_counter() deadline."""
     if ncols is None:
         if isinstance(rows[0], dict):
             raise ValueError("ncols is required when the first row is sparse")
         ncols = len(rows[0])
     echelon: dict[int, Row] = {}
     for vec in rows:
+        check_deadline(deadline, "the elimination")
         v = _sparse(vec, ncols, "ragged matrix")
         if not all(type(x) is int for x in v.values()):
             v = _integral(v)[0]
@@ -132,8 +147,12 @@ def rref(
              for col in range(ncols)] for p in pivots], len(pivots), pivots
 
 
-def rank_of(rows: list[Vector], ncols: int | None = None) -> int:
-    return len(_echelon(rows, ncols)[0]) if rows else 0
+def rank_of(rows: Iterable[Vector], ncols: int | None = None,
+            deadline: float | None = None) -> int:
+    """Rank of the rows.  An iterator of rows needs ncols, and each row
+    it yields is taken, checked against the deadline and eliminated in
+    turn."""
+    return len(_echelon(rows, ncols, deadline)[0]) if rows else 0
 
 
 class Span:

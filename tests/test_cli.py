@@ -294,6 +294,14 @@ def test_timeout_binds_inside_the_cohomology(capsys):
     assert err == "budget exceeded: wall clock budget exceeded in the graded pieces\n"
 
 
+def test_timeout_binds_on_a_padded_singular_form(capsys):
+    code, out, err = run(capsys, ["check", "x0^10*x1^10 + x0^11*x1^9",
+                                  "--nvars", "8", "--timeout-s", "1e-9"])
+    assert code == 3
+    assert out == ""
+    assert err == "budget exceeded: wall clock budget exceeded in Buchberger\n"
+
+
 def test_human_output_mentions_dimensions(capsys):
     code, out, _ = run(capsys, ["moduli", CUBIC])
     assert code == 0

@@ -300,6 +300,18 @@ def test_passed_deadline_stops_the_cohomology():
         cohomology_report(QUARTIC, 0, 4, deadline=time.perf_counter() - 1)
 
 
+def test_passed_deadline_reaches_the_elimination(monkeypatch):
+    import time
+
+    import jmoduli.dgla as dgla
+    from jmoduli import BudgetExceeded
+
+    # only the elimination in rank_of checks the deadline
+    monkeypatch.setattr(dgla, "check_deadline", lambda deadline, stage: None)
+    with pytest.raises(BudgetExceeded, match="elimination"):
+        cohomology_report(QUARTIC, 0, 4, deadline=time.perf_counter() - 1)
+
+
 # ---------------------------------------------------------------------------
 # oracles: the first-order pieces, differential and bracket written
 # generator by generator on the parts (xi_parts, del_part, e_part) in T

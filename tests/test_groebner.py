@@ -507,3 +507,160 @@ def test_jacobian_gb_matches_sympy(name):
             for mono, c in p.as_dict().items()))
     ours = {frozenset(g.terms.items()) for g in jacobian_gb(f)}
     assert ours == want
+
+
+# -- the Hilbert drive: counters, and plain Buchberger as its oracle ----------
+
+def drive_stats(gens):
+    from jmoduli.stats import Stats
+
+    stats = Stats()
+    gb = buchberger(gens, stats=stats)
+    return gb, stats.counters
+
+
+@pytest.mark.parametrize("name, want", [
+    ("fermat_cubic", {"pairs": 3, "skipped_criteria": 3, "skipped_hilbert": 0,
+                      "zero_reductions": 0, "basis_len": 3}),
+    # plain Buchberger divides 47 of these pairs, each to zero
+    ("dense_quartic", {"pairs": 406, "skipped_criteria": 334,
+                       "skipped_hilbert": 47, "zero_reductions": 0,
+                       "basis_len": 29}),
+])
+def test_buchberger_counters(name, want):
+    from jmoduli import jacobian_ideal
+
+    f = parse_polynomial({"fermat_cubic": "x0^3 + x1^3 + x2^3",
+                          **WEIGHT_TABLE_FORMS}[name])
+    gb, counters = drive_stats(jacobian_ideal(f))
+    assert counters == want
+    assert len(gb) == counters["basis_len"]
+
+
+def test_stats_are_optional_and_change_nothing():
+    gens = polys("x0^2 + x1*x2", "x1^2 + x0*x2", "x2^2 + x0*x1", nvars=3)
+    assert drive_stats(gens)[0] == buchberger(gens)
+
+
+def test_staircase_growth_checks_the_deadline_and_the_budget():
+    from jmoduli.groebner import _Staircase
+
+    # the whole ring: layer d holds the d + 1 monomials of degree d
+    assert len(_Staircase(2, []).layer(3, budget=3)) == 4
+    assert _Staircase(2, []).layer(4, budget=3) is None
+    with pytest.raises(BudgetExceeded, match="Buchberger"):
+        _Staircase(2, []).layer(3, deadline=time.perf_counter() - 1)
+
+
+def test_drive_grows_no_layer_past_the_deadline(monkeypatch):
+    from jmoduli import jacobian_ideal
+    from jmoduli.groebner import _Staircase
+
+    grown = []
+    layer = _Staircase.layer
+    monkeypatch.setattr(_Staircase, "layer", lambda self, *args: grown.append(
+        args) or layer(self, *args))
+    # singular, with three nonzero partials in three variables: the drive
+    # is on and grows layers, but never finds a degree complete
+    gens = jacobian_ideal(parse_polynomial("x0^2*x1 + x0*x2^2"))
+    with pytest.raises(BudgetExceeded):
+        buchberger(gens, deadline=time.perf_counter() - 1)
+    assert grown == []
+    gb, counters = drive_stats(gens)
+    assert list(gb.generators) == fraction_buchberger(gens)
+    assert counters["skipped_hilbert"] == 0 and grown
+
+
+def test_drive_stops_when_a_layer_outgrows_the_pairs_left(monkeypatch):
+    from jmoduli.groebner import _Staircase
+
+    layers = []
+    layer = _Staircase.layer
+    monkeypatch.setattr(_Staircase, "layer", lambda self, *args: layers.append(
+        layer(self, *args)) or layers[-1])
+    # x2 * (x0, x1, x2^6): HF is at most 4, but the layers have d + 1
+    # monomials in x0, x1, and one pair is left at degree 8
+    gens = polys("x0*x2", "x1*x2", "x2^7", nvars=3)
+    gb, counters = drive_stats(gens)
+    assert list(gb.generators) == fraction_buchberger(gens)
+    assert layers[-1] is None and counters["skipped_hilbert"] == 0
+
+
+def test_drive_stops_before_layers_the_bound_shows_too_large(monkeypatch):
+    from jmoduli import jacobian_ideal
+    from jmoduli.groebner import _Staircase
+
+    monkeypatch.setattr(_Staircase, "layer", None)
+    # at the first pair past the criteria, of degree 5, 10 pairs are left
+    # and HF(4) = 70 is more than 5 monomials per pair: no layer is grown
+    f = parse_polynomial("x0^5 + x1^5 + x2^5 + x3^5 + x4^5 + 2*x0*x2^3*x4")
+    gb, counters = drive_stats(jacobian_ideal(f))
+    assert counters["skipped_hilbert"] == 0 and len(gb) == 11
+
+
+def test_drive_stays_off_for_fewer_than_nvars_generators(monkeypatch):
+    from jmoduli.groebner import _Staircase
+
+    monkeypatch.setattr(_Staircase, "layer", None)
+    # the partials of x0^10*x1^10 + x0^11*x1^9 padded to 8 variables, and
+    # three forms in four variables whose bound would let layers grow
+    for gens in (polys("x0^10*x1^9", "x0^11*x1^8", nvars=8),
+                 polys("x0*x1", "x0*x2", "x0*x3", nvars=4)):
+        assert set(buchberger(gens).leading_monomials()) == {
+            g.leading_monomial() for g in gens}
+
+
+def forms_of(draw, nvars, degree, max_terms=4):
+    """A nonzero form of the given degree with rational coefficients."""
+    term = st.tuples(
+        st.sampled_from(monomials_of_weight(nvars, degree)),
+        st.fractions(min_value=-6, max_value=6, max_denominator=5).filter(bool))
+    return Polynomial(nvars, dict(draw(st.lists(term, min_size=1,
+                                                max_size=max_terms))))
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    """(generators, drive may turn on).  Up to nvars forms of one degree
+    or of mixed degrees (often singular), the Jacobian of a form in fewer
+    variables than nvars (zero partials), and, with the drive off, more
+    than nvars forms or an inhomogeneous set.  The drive turns on for
+    exactly nvars homogeneous generators."""
+    nvars = draw(st.integers(min_value=2, max_value=4))
+    top = 4 if nvars < 4 else 3
+    kind = draw(st.sampled_from(
+        ["one_degree", "mixed", "jacobian", "too_many", "inhomogeneous"]))
+    if kind == "jacobian":
+        used = draw(st.integers(min_value=1, max_value=nvars))
+        f = forms_of(draw, used, draw(st.integers(2, top + 1)), max_terms=6)
+        gens = [Polynomial(nvars, {m + (0,) * (nvars - used): c
+                                   for m, c in f.partial_derivative(i).terms.items()})
+                for i in range(used)]
+        gens = [g for g in gens if not g.is_zero()]
+        return gens, len(gens) == nvars
+    count = nvars + 1 if kind == "too_many" else draw(st.integers(1, nvars))
+    degree = draw(st.integers(1, top))
+    gens = [forms_of(draw, nvars, draw(st.integers(1, top)) if kind == "mixed"
+                     else degree) for _ in range(count)]
+    if draw(st.booleans()):
+        # a power of x_i on the i-th form makes a regular sequence likely
+        for i, g in enumerate(gens[:nvars]):
+            power = Polynomial(nvars, {tuple(sum(g.leading_monomial()) * (j == i)
+                                             for j in range(nvars)): 1})
+            if not (g + power).is_zero():
+                gens[i] = g + power
+    if kind == "inhomogeneous":
+        gens[0] = gens[0] + forms_of(draw, nvars, sum(gens[0].leading_monomial()) + 1)
+    return gens, kind in ("one_degree", "mixed") and count == nvars
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(homogeneous_ideals())
+def test_hilbert_drive_matches_plain_buchberger(ideal):
+    gens, drive_on = ideal
+    gb, counters = drive_stats(gens)
+    assert list(gb.generators) == fraction_buchberger(gens)
+    if not drive_on:
+        assert counters["skipped_hilbert"] == 0
+    if is_zero_dimensional(gb):
+        assert standard_monomials(gb) == box_scan(gb)

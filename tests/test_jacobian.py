@@ -182,3 +182,41 @@ def test_deformed_quotient_mu_jumps_for_higher_weight():
     assert is_zero_dimensional(gb)
     data = deformed_subalgebra(CUBIC, g, CTX3)
     assert data.dim >= sum(graded_quotient(CUBIC, CTX3).r_dims)
+
+
+# -- invariant oracles: the complete-intersection series ---------------------
+
+INVARIANT_FORMS = [
+    "x0^3 + x1^3 + x2^3",
+    "x0^3 + x1^3 + x2^3 + x0*x1*x2",
+    "x0^4 + x1^4 + x2^4",  # nu > nvars
+    "x0^4 + x1^4 + x2^4 + x3^4",
+    "x0^4 + x1^4 + x2^4 + x3^4 + 2*x0^2*x1*x2 - x1*x2*x3^2 + 3*x0*x1*x2*x3"
+    " - x0^2*x3^2 + x1^3*x3 - 2*x0*x2^3 + x0*x1^2*x3 - 3*x2^2*x3^2"
+    " + x0*x1*x2^2 + 2*x1^2*x2*x3",
+    "x0^5 + x1^5 + x2^5 + x3^5 + x4^5 - 3*x1^2*x3^3",
+    "x0^5 + x1^5 + x2^5 + x3^5 + x4^5 + 2*x0*x2^3*x4",
+]
+
+
+def ci_series(nvars, nu):
+    """Coefficients of ((1 - t^(nu-1)) / (1 - t))^nvars, multiplied out."""
+    out = [1]
+    for _ in range(nvars):
+        out = [sum(out[w - j] for j in range(nu - 1) if 0 <= w - j < len(out))
+               for w in range(len(out) + nu - 2)]
+    return out
+
+
+@pytest.mark.parametrize("text", INVARIANT_FORMS)
+def test_hilbert_vector_is_the_complete_intersection_series(text):
+    from jmoduli import Polynomial
+
+    f = parse_polynomial(text)
+    nu = weight_of_or_none(f)
+    ctx = RingContext(f.nvars, nu)
+    data = graded_quotient(f, ctx)
+    assert list(data.hilbert) == ci_series(f.nvars, nu)
+    assert len(data.standard_basis) == (nu - 1) ** f.nvars
+    closure = deformed_subalgebra(f, Polynomial.zero(f.nvars), ctx)
+    assert closure.dim == sum(data.r_dims)

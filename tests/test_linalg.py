@@ -275,3 +275,20 @@ def test_integer_rows_match_dense_reference(matrix, sparse):
     assert rref(inputs, ncols) == want
     assert all(type(x) is int for r in inputs
                for x in (r.values() if sparse else r))  # input untouched
+
+
+def test_passed_deadline_stops_rank_of():
+    import time
+
+    from jmoduli import BudgetExceeded
+
+    rows = [[Fraction(i + j) for j in range(4)] for i in range(3)]
+    with pytest.raises(BudgetExceeded, match="elimination"):
+        rank_of(rows, deadline=time.perf_counter() - 1)
+    assert rank_of(rows, deadline=time.perf_counter() + 60) == rank_of(rows) == 2
+    # an iterator is taken one row at a time, each row checked
+    taken = []
+    with pytest.raises(BudgetExceeded, match="elimination"):
+        rank_of((taken.append(r) or r for r in rows), 4, time.perf_counter() - 1)
+    assert len(taken) == 1
+    assert rank_of(iter(rows), 4, time.perf_counter() + 60) == 2
