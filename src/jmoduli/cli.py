@@ -8,7 +8,8 @@ Four commands over a defining form f:
     jmoduli dgla   "x0^3 + x1^3 + x2^3" --degree 1 --weight=-3
 
 check validates the hypotheses (homogeneous, nonsingular, nu = nvars),
-moduli reports the graded dimensions and basis data, deform compares
+moduli reports the graded dimensions, basis data, and dim R~ and its
+grading read off the Hilbert data (no product table), deform compares
 the deformed algebra against the graded one, and dgla reports one
 (degree, weight) spot of the first-order cohomology.
 
@@ -29,7 +30,7 @@ from . import __version__
 from .extended import (
     compare_dimensions,
     extended_from_closure,
-    extended_from_quotient,
+    graded_shape,
     to_json_dict,
 )
 from .dgla import cohomology_report
@@ -181,27 +182,26 @@ def cmd_moduli(args) -> int:
     f, ctx = _parse_f(args)
     data = graded_quotient(f, ctx, max_pairs=args.max_pairs,
                            deadline=args.deadline)
-    alg = extended_from_quotient(data, ctx)
+    if not data.standard_basis:
+        raise SingularInputError("the quotient S/J_f is zero")
     n = ctx.nvars - 1
-    bases = []
-    for k in range(n):
-        monos = data.primitive_basis(k, ctx.nu)
-        bases.append([k, [render_polynomial(Polynomial.monomial(m))
-                          for m in monos]])
+    grading = list(graded_shape(data.r_dims))
+    bases = [[k, [render_polynomial(Polynomial.monomial(m))
+                  for m in data.primitive_basis(k, ctx.nu)]] for k in range(n)]
     result = {
         "hilbert": list(data.hilbert),
         "r_dims": list(data.r_dims),
         "primitive_bases": bases,
-        "dim_extended": alg.dim,
-        "grading": list(alg.grading),
+        "dim_extended": len(grading),
+        "grading": grading,
     }
     report = _report("moduli", f, ctx.nu, None, result, started)
     lines = [
         f"f = {render_polynomial(f)}  (nvars {ctx.nvars}, nu {ctx.nu})",
         f"hilbert:      {list(data.hilbert)}",
         f"r_dims:       {list(data.r_dims)}",
-        f"dim R~:       {alg.dim}",
-        f"grading:      {list(alg.grading)}",
+        f"dim R~:       {len(grading)}",
+        f"grading:      {grading}",
     ]
     for k, basis in bases:
         lines.append(f"R^{k} basis:    {', '.join(basis)}")
@@ -306,8 +306,8 @@ def main(argv: "list[str] | None" = None) -> int:
             raise ValueError(f"--timeout-s must be >= 0, not {args.timeout_s}")
         if args.max_pairs < 0:
             raise ValueError(f"--max-pairs must be >= 0, not {args.max_pairs}")
-        # binds inside Buchberger, the closure, the products and the
-        # cohomology
+        # binds inside Buchberger, the staircase, the closure, the
+        # products and the cohomology
         args.deadline = (time.perf_counter() + args.timeout_s
                          if args.timeout_s else None)
         return _COMMANDS[args.command](args)

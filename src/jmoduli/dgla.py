@@ -56,6 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from operator import add
 
 from .jacobian import weight_of_or_none
@@ -757,6 +758,15 @@ def _context_of(f: Polynomial) -> tuple[int, int]:
     return f.nvars, nu
 
 
+def _monomial_slices(nvars: int, weight: int):
+    """monomials_of_weight(nvars, weight) in order, as consecutive lists
+    of at most 4096 monomials, split by the exponent of the last variable."""
+    if weight < 0 or nvars < 2 or comb(weight + nvars - 1, nvars - 1) <= 4096:
+        return [monomials_of_weight(nvars, weight)]
+    return ([m + (e,) for m in part] for e in range(weight, -1, -1)
+            for part in _monomial_slices(nvars - 1, weight - e))
+
+
 def graded_piece(f: Polynomial, degree: int, weight: int,
                  space: str = "L", deadline: float | None = None) -> GradedPiece:
     """Monomial basis of the (degree, weight) piece of L or of F^k.
@@ -770,8 +780,8 @@ def graded_piece(f: Polynomial, degree: int, weight: int,
     most once, returned as DerivationElement views: the five generator
     shapes x^a y d_i, x^a d_i, x^a y del, x^a del and the line through e,
     in degrees -1, 0, 1.  The cap on y makes it a subcomplex: the
-    differential maps each shape into the others.  Each word checks the
-    time.perf_counter() deadline.
+    differential maps each shape into the others.  Each slice of at most
+    4096 monomials checks the time.perf_counter() deadline.
     """
     nvars, nu = _context_of(f)
     if space == "L":
@@ -790,13 +800,13 @@ def graded_piece(f: Polynomial, degree: int, weight: int,
              for subset in combinations(range(nvars), k - ndel)]
     basis, one = [], Fraction(1)
     for word in words:
-        check_deadline(deadline, "the graded pieces")
         yexp = _word_fdeg(word) - fdeg
         if yexp < 0 or (ymax is not None and yexp > ymax):
             continue
         xw = weight - yexp * nu - _word_weight(word, nu)
-        basis += [cls._of(nvars, nu, {(word, mono, yexp): one})
-                  for mono in monomials_of_weight(nvars, xw)]
+        for monos in _monomial_slices(nvars, xw):
+            check_deadline(deadline, "the graded pieces")
+            basis += [cls._of(nvars, nu, {(word, m, yexp): one}) for m in monos]
     if k == 1 and fdeg == 0 and weight == 0:
         basis.append(cls._of(nvars, nu, {((E,), (0,) * nvars, 0): one}))
     return GradedPiece(degree, weight, tuple(basis))

@@ -9,7 +9,7 @@ products[j][i] is the same dict as products[i][j].  Every product is
 read off the memoized monomial normal forms of the quotient
 (groebner.Quotient) that the graded quotient or the closure built, not
 from a division per pair, and checks the command's deadline once per
-basis vector.
+basis vector.  graded_shape reads the grading of R-tilde off r_k alone.
 """
 
 from __future__ import annotations
@@ -111,27 +111,33 @@ def build_extended(
         graded_quotient(f, ctx, max_pairs=max_pairs), ctx)
 
 
+def graded_shape(r_dims: tuple[int, ...]) -> tuple[int, ...]:
+    """The grading of R-tilde, whose length is its dimension: 2k for each
+    of the r_k primitive classes, then n-1 for each of the n e-classes."""
+    n = len(r_dims)
+    return (*(2 * k for k, r in enumerate(r_dims) for _ in range(r)),
+            *(n - 1,) * n)
+
+
 def extended_from_quotient(
     data: GradedQuotientData, ctx: RingContext
 ) -> ExtendedAlgebra:
     """R-tilde from the graded quotient S/J_f.
 
-    Basis: the standard monomials of weight k*nu for k = 0..n-1 (grade
-    2k), then e_0..e_{n-1} (grade n-1).  The product of two basis
+    Basis: the standard monomials of weight k*nu for k = 0..n-1, then
+    e_0..e_{n-1}, graded by graded_shape.  The product of two basis
     monomials is the quotient's normal form of their product; above the
     socle weight there is no standard monomial, so it is zero.
     """
     if not data.standard_basis:
         raise SingularInputError("the quotient S/J_f is zero")
     n = ctx.nvars - 1
-    monos = []
-    for k in range(n):
-        for mono in data.primitive_basis(k, ctx.nu):
-            monos.append((mono, k))
-    labels: list[Label] = [
-        PrimitiveClass(Polynomial.monomial(mono), k) for mono, k in monos
-    ]
-    grading = [2 * k for _, k in monos]
+    if n == 0:
+        raise SingularInputError("f has one variable: R~ is zero, with no unit")
+    monos = [(mono, k) for k in range(n)
+             for mono in data.primitive_basis(k, ctx.nu)]
+    labels: list[Label] = [PrimitiveClass(Polynomial.monomial(mono), k)
+                           for mono, k in monos]
     index_of_mono = {mono: i for i, (mono, _) in enumerate(monos)}
     nprim = len(monos)
     unit_index = index_of_mono[(0,) * ctx.nvars]
@@ -152,10 +158,9 @@ def extended_from_quotient(
             entry = {index_of_mono[mono]: coeff for mono, coeff in nf.items()}
             table[a][b] = table[b][a] = entry
 
-    for t in range(n):
-        labels.append(EClass(t))
-        grading.append(n - 1)
-    return ExtendedAlgebra(tuple(labels), table, tuple(grading), unit_index)
+    labels += [EClass(t) for t in range(n)]
+    return ExtendedAlgebra(tuple(labels), table,
+                           graded_shape(data.r_dims), unit_index)
 
 
 def build_extended_deformed(
@@ -185,9 +190,8 @@ def extended_from_closure(
         if not span.add(quotient.coordinates(b.terms)):
             raise RuntimeError("stored closure basis is linearly dependent")
 
-    nprim = len(data.basis)
     n = ctx.nvars - 1
-    table = _e_products(nprim, n, unit_index=0)
+    table = _e_products(len(data.basis), n, unit_index=0)
     for b, pb in enumerate(data.basis):
         check_deadline(quotient.deadline, "the products")
         for a in range(b + 1):
@@ -200,8 +204,7 @@ def extended_from_closure(
             table[a][b] = table[b][a] = expansion
 
     labels: list[Label] = [PrimitiveClass(b, None) for b in data.basis]
-    for t in range(n):
-        labels.append(EClass(t))
+    labels += [EClass(t) for t in range(n)]
     return ExtendedAlgebra(tuple(labels), table, None, 0)
 
 
@@ -228,7 +231,7 @@ def compare_dimensions(
     "dim_deformed", "equal"}.
     """
     n = ctx.nvars - 1
-    dim_extended = sum(data.r_dims) + n
+    dim_extended = len(graded_shape(data.r_dims))
     dim_deformed = deformed.dim + n
     return {
         "dim_extended": dim_extended,

@@ -195,7 +195,7 @@ class Quotient:
     takes the first generator g whose leading monomial divides it, and
     NF(m) = -sum c * NF(t * shift) over the tail terms c*t of the monic g.
     Each t * shift is below m in degrevlex, so the walk ends.  Each memo
-    miss checks the time.perf_counter() deadline.
+    miss and each staircase layer checks the time.perf_counter() deadline.
     """
 
     def __init__(self, gb: GroebnerBasis, deadline: float | None = None) -> None:
@@ -206,7 +206,7 @@ class Quotient:
     @cached_property
     def standard(self) -> tuple[Monomial, ...]:
         """The standard monomials, ascending degrevlex (finite quotients)."""
-        return tuple(standard_monomials(self.gb))
+        return tuple(standard_monomials(self.gb, self.deadline))
 
     @cached_property
     def index(self) -> dict[Monomial, int]:
@@ -442,20 +442,22 @@ class _Staircase:
             ], key=lambda pair: pair[0][::-1], reverse=True))
         return layers[degree]
 
-    def complete(self) -> list[Monomial]:
+    def complete(self, deadline: float | None = None) -> list[Monomial]:
         """Every standard monomial, ascending degrevlex, once the layers
-        end (a zero-dimensional ideal)."""
+        end (a zero-dimensional ideal).  Each layer checks the deadline."""
         while self.layers[-1]:
+            check_deadline(deadline, "the staircase")
             self.layer(len(self.layers))
         return [m for layer in self.layers for m, _ in layer]
 
 
-def standard_monomials(gb: GroebnerBasis) -> list[Monomial]:
+def standard_monomials(gb: GroebnerBasis,
+                       deadline: float | None = None) -> list[Monomial]:
     """Monomials divisible by no leading monomial, ascending degrevlex.
 
     Their classes form a basis of the quotient; requires a
-    zero-dimensional ideal.
+    zero-dimensional ideal.  Each layer checks the deadline.
     """
     if not is_zero_dimensional(gb):
         raise ValueError("infinite quotient")
-    return _Staircase(gb.nvars, gb.leads).complete()
+    return _Staircase(gb.nvars, gb.leads).complete(deadline)

@@ -1,11 +1,14 @@
 """Command line behavior: exit codes, report content, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import jmoduli
 from jmoduli.cli import main
@@ -310,10 +313,10 @@ def test_human_output_mentions_dimensions(capsys):
     assert "hilbert check: pass" in out
 
 
-def count_calls(monkeypatch, name):
+def count_calls(monkeypatch, name, module=jmoduli):
     """Count calls of a jmoduli function through every module binding."""
     calls = []
-    original = getattr(jmoduli, name)
+    original = getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(name)
@@ -341,3 +344,130 @@ def test_each_stage_runs_once_per_command(monkeypatch, capsys, argv,
     assert len(gbs) == groebner_bases
     assert len(closure_calls) == closures
     assert normal_forms == []
+
+
+def test_moduli_builds_no_product_table(monkeypatch, capsys):
+    # moduli prints dim R~ and its grading, both read off the Hilbert data
+    import jmoduli.cli as cli
+    import jmoduli.extended as extended
+
+    tables = count_calls(monkeypatch, "extended_from_quotient", extended)
+    quotients = []
+    real = cli.graded_quotient
+    monkeypatch.setattr(cli, "graded_quotient", lambda *args, **kwargs:
+                        quotients.append(real(*args, **kwargs)) or quotients[-1])
+    code, report, _ = run_json(capsys, ["moduli", QUARTIC])
+    assert code == 0
+    assert report["result"]["dim_extended"] == 24
+    assert tables == []
+    assert len(quotients) == 1
+    assert quotients[0].quotient.rows == {}
+
+
+def test_one_variable_form(capsys):
+    # n = 0: R~ has no primitive class and no e-class
+    code, report, err = run_json(capsys, ["moduli", "x0^3"])
+    assert code == 0
+    assert err == ""
+    assert report["result"] == {
+        "hilbert": [1, 1], "r_dims": [], "primitive_bases": [],
+        "dim_extended": 0, "grading": []}
+    code, report, _ = run_json(capsys, ["deform", "x0^3"])
+    assert code == 0
+    assert report["result"]["dim_extended"] == 0
+
+
+@pytest.mark.parametrize("argv,limit", [
+    # Buchberger ends in time; the staircase does not
+    (["moduli", "x0^200*x1 + x1^201"], 0.05),
+    (["moduli", "x0^2000000"], 0.2),
+    # the first word of each piece has about 180,000 monomials
+    (["dgla", CUBIC, "--degree", "1", "--weight", "600"], 0.1),
+])
+def test_timeout_binds_inside_the_staircase_and_the_pieces(capsys, argv,
+                                                           limit):
+    started = time.perf_counter()
+    code, out, err = run(capsys, argv + ["--timeout-s", str(limit)])
+    elapsed = time.perf_counter() - started
+    assert code == 3
+    assert out == ""
+    assert err.startswith("budget exceeded: ")
+    assert elapsed < 2 * limit
+
+
+def test_passed_deadline_stops_a_large_piece_before_it_is_built():
+    from jmoduli import BudgetExceeded, graded_piece, parse_polynomial
+
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="in the graded pieces$"):
+        graded_piece(parse_polynomial(CUBIC), 1, 3000,
+                     deadline=time.perf_counter() - 1)
+    assert time.perf_counter() - started < 1
+
+
+def test_graded_piece_checks_the_deadline_inside_a_word(monkeypatch):
+    import jmoduli.dgla as dgla
+    from jmoduli import graded_piece, parse_polynomial
+
+    checks = count_calls(monkeypatch, "check_deadline", dgla)
+    piece = graded_piece(parse_polynomial(CUBIC), 1, 300)
+    # at most 4096 monomials between two checks
+    assert piece.dimension > 4 * 4096
+    assert len(checks) >= piece.dimension / 4096
+
+
+# -- fuzzing: every input ends in an exit code, never a traceback ------------
+
+COEFFS = ("1", "2", "-1", "-3", "1/2", "-3/2", "0")
+
+
+@st.composite
+def forms(draw, nvars):
+    """A form in nvars variables of degree at most 4, homogeneous or not,
+    often a Fermat form plus a few terms."""
+    degree = draw(st.integers(0, 4))
+    homogeneous = draw(st.booleans())
+    text = " + ".join(f"x{i}^{degree}" for i in range(nvars)
+                      if draw(st.booleans()))
+    for _ in range(draw(st.integers(0 if text else 1, 3))):
+        d = degree if homogeneous else draw(st.integers(0, degree))
+        exps = [0] * nvars
+        for _ in range(d):
+            exps[draw(st.integers(0, nvars - 1))] += 1
+        factors = [f"x{i}^{e}" for i, e in enumerate(exps) if e]
+        term = "*".join([draw(st.sampled_from(COEFFS))] + factors)
+        if text:
+            term = f"- {term[1:]}" if term[0] == "-" else f"+ {term}"
+        text = f"{text} {term}" if text else term
+    return text
+
+
+@st.composite
+def argvs(draw):
+    nvars = draw(st.integers(1, 3))
+    command = draw(st.sampled_from(["check", "moduli", "deform", "dgla"]))
+    options = ["--timeout-s", "2", "--max-pairs", "50"]
+    if draw(st.booleans()):
+        options += ["--nvars", str(nvars)]
+    if draw(st.booleans()):
+        options.append("--json")
+    if command == "dgla":
+        options += [f"--degree={draw(st.integers(-2, 2))}",
+                    f"--weight={draw(st.integers(-6, 6))}"]
+    positional = [draw(forms(nvars))]
+    if command == "deform":
+        positional.append(draw(st.just("") | forms(nvars)))
+    # after "--" a form with a leading minus is not read as an option
+    return [command, *options, "--", *positional]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argvs())
+def test_cli_fuzz_ends_in_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code and not out.getvalue():  # check and dgla report a failed verdict
+        assert len(err.getvalue().splitlines()) == 1

@@ -10,6 +10,7 @@ from jmoduli import (
     PrimitiveClass,
     RingContext,
     Span,
+    SingularInputError,
     build_extended,
     build_extended_deformed,
     deformed_subalgebra,
@@ -191,6 +192,37 @@ def test_graded_products_match_ordered_pair_normal_forms(name):
                 assert alg.products[b][a] is alg.products[a][b]
 
 
+@pytest.mark.parametrize("f_text", [
+    *GRADED_ORACLE_FORMS.values(),
+    "x0^5 + x1^5 + x2^5 + x3^5 + x4^5",
+    # a quintic with one term on two variables, as in the moduli benchmark
+    "x0^5 + x1^5 + x2^5 + x3^5 + x4^5 - 3*x1^2*x3^3",
+])
+def test_graded_shape_matches_the_product_table(f_text):
+    from jmoduli.extended import extended_from_quotient, graded_shape
+
+    f = parse_polynomial(f_text)
+    ctx = RingContext(f.nvars, f.nvars)
+    data = graded_quotient(f, ctx)
+    alg = extended_from_quotient(data, ctx)
+    shape = graded_shape(data.r_dims)
+    assert shape == alg.grading
+    assert len(shape) == alg.dim
+
+
+def test_one_variable_form_has_no_extended_algebra():
+    from jmoduli.extended import extended_from_quotient, graded_shape
+
+    # n = 0: no primitive class, so no unit to build a product table on
+    f, ctx = parse_polynomial("x0^3"), RingContext(1, 3)
+    with pytest.raises(SingularInputError) as info:
+        build_extended(f, ctx)
+    assert "\n" not in str(info.value)
+    with pytest.raises(SingularInputError):
+        extended_from_quotient(graded_quotient(f, ctx), ctx)
+    assert graded_shape(graded_quotient(f, ctx).r_dims) == ()
+
+
 def test_dense_quartic_extended_laws():
     alg = build_extended(parse_polynomial(DENSE_QUARTIC), RingContext(4, 4))
     assert verify_algebra_laws(alg) == {
@@ -229,13 +261,18 @@ def test_deformed_products_match_ordered_pair_normal_forms(f_text, g_text):
 def test_passed_deadline_stops_the_closure(monkeypatch):
     import time
 
+    import jmoduli.groebner as groebner
     import jmoduli.jacobian as jacobian
     from jmoduli import BudgetExceeded
 
-    # Buchberger runs to the end without the deadline; the closure gets it
+    # Buchberger and the staircase run to the end without the deadline;
+    # the closure gets it
     real_gb = jacobian.jacobian_gb
     monkeypatch.setattr(jacobian, "jacobian_gb",
                         lambda f, max_pairs, deadline: real_gb(f, max_pairs))
+    real_std = groebner.standard_monomials
+    monkeypatch.setattr(groebner, "standard_monomials",
+                        lambda gb, deadline: real_std(gb))
     g = parse_polynomial("x0*x1*x2", 3)
     with pytest.raises(BudgetExceeded, match="closure|normal forms"):
         deformed_subalgebra(CUBIC, g, CTX3, deadline=time.perf_counter() - 1)

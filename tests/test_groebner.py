@@ -552,6 +552,13 @@ def test_staircase_growth_checks_the_deadline_and_the_budget():
         _Staircase(2, []).layer(3, deadline=time.perf_counter() - 1)
 
 
+def test_standard_monomials_check_the_deadline_per_layer():
+    gb = buchberger(polys("x0^9", "x1^9", nvars=2))
+    assert len(standard_monomials(gb, deadline=time.perf_counter() + 60)) == 81
+    with pytest.raises(BudgetExceeded, match="in the staircase$"):
+        standard_monomials(gb, deadline=time.perf_counter() - 1)
+
+
 def test_drive_grows_no_layer_past_the_deadline(monkeypatch):
     from jmoduli import jacobian_ideal
     from jmoduli.groebner import _Staircase
