@@ -224,12 +224,13 @@ def cmd_deform(args) -> int:
     g_text = g_text.strip()
     g = (Polynomial.zero(ctx.nvars) if not g_text
          else parse_polynomial(g_text, ctx.nvars))
+    # a singular f fails here, before the closure and the products
+    graded = graded_quotient(f, ctx, max_pairs=args.max_pairs,
+                             deadline=args.deadline)
     data = deformed_subalgebra(f, g, ctx, max_pairs=args.max_pairs,
                                deadline=args.deadline)
     alg = extended_from_closure(data, ctx)
-    comparison = compare_dimensions(
-        graded_quotient(f, ctx, max_pairs=args.max_pairs,
-                        deadline=args.deadline), data, ctx)
+    comparison = compare_dimensions(graded, data, ctx)
     dump = to_json_dict(alg)
     result = {
         "dim_extended": comparison["dim_extended"],

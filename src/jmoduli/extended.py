@@ -26,8 +26,9 @@ from .jacobian import (
     deformed_subalgebra,
     graded_quotient,
 )
-from .linalg import Span, _add_scaled
+from .linalg import Span, _add_scaled, _integral
 from .polys import Polynomial, RingContext, render_polynomial
+from .stats import Stats
 
 
 @dataclass(frozen=True)
@@ -175,33 +176,39 @@ def build_extended_deformed(
 
 
 def extended_from_closure(
-    data: DeformedSubalgebraData, ctx: RingContext
+    data: DeformedSubalgebraData, ctx: RingContext, stats: Stats | None = None
 ) -> ExtendedAlgebra:
     """R-tilde_{f+g} from the closure R_{f+g}.
 
     Primitive products NF(pa * pb), summed from the quotient's monomial
-    normal forms, are re-expanded over the stored basis by exact
-    elimination; a product falling outside the span is an internal error
-    (closure guarantees membership).  The closure puts the unit first.
+    normal forms over integer copies of the basis, are re-expanded over
+    the stored basis by exact elimination; a product falling outside the
+    span is an internal error (closure guarantees membership).  The
+    closure puts the unit first.  stats counts table_products.
     """
     quotient = data.quotient
     span = Span(len(data.standard_basis), track_original=True)
     for b in data.basis:
         if not span.add(quotient.coordinates(b.terms)):
             raise RuntimeError("stored closure basis is linearly dependent")
+    integral = [_integral(b.terms) for b in data.basis]
 
     n = ctx.nvars - 1
     table = _e_products(len(data.basis), n, unit_index=0)
-    for b, pb in enumerate(data.basis):
+    for b, (pb, db) in enumerate(integral):
         check_deadline(quotient.deadline, "the products")
         for a in range(b + 1):
-            nf = quotient.product(data.basis[a].terms, pb.terms)
-            expansion = span.coordinates(quotient.coordinates(nf))
+            pa, da = integral[a]
+            nf, den = quotient.product(pa, pb)
+            expansion = span.coordinates(quotient.coordinates(nf),
+                                         den * da * db)
             if expansion is None:
                 raise RuntimeError(
                     "product left the closure span; closure invariant violated"
                 )
             table[a][b] = table[b][a] = expansion
+    if stats is not None:
+        stats.count("table_products", len(integral) * (len(integral) + 1) // 2)
 
     labels: list[Label] = [PrimitiveClass(b, None) for b in data.basis]
     labels += [EClass(t) for t in range(n)]

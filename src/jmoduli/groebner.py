@@ -41,8 +41,8 @@ from functools import cache, cached_property
 from math import comb, gcd
 from operator import add, le
 
-from .linalg import (BudgetExceeded, _add_scaled, _integral, _primitive,
-                     check_deadline)
+from .linalg import (BudgetExceeded, _integral, _lowest, _over_lcm,
+                     _primitive, check_deadline)
 from .polys import Monomial, Polynomial, degrevlex_key, monomials_of_weight
 from .stats import Stats
 
@@ -191,17 +191,19 @@ class Quotient:
     standard monomial, and a memo of monomial normal forms.
 
     The memo is the monomial table of FGLM (Faugere, Gianni, Lazard and
-    Mora, JSC 16, 1993).  A standard monomial is its own row; any other m
-    takes the first generator g whose leading monomial divides it, and
-    NF(m) = -sum c * NF(t * shift) over the tail terms c*t of the monic g.
-    Each t * shift is below m in degrevlex, so the walk ends.  Each memo
-    miss and each staircase layer checks the time.perf_counter() deadline.
+    Mora, JSC 16, 1993), fraction-free: rows[m] = (r, den) in lowest
+    terms, NF(m) = r / den.  A standard monomial is its own row; any other
+    m takes the first integer generator lc * lm + sum c * t whose lm
+    divides it, and NF(m) = -sum c * NF(t * shift) / lc, over one common
+    denominator.  Each t * shift is below m in degrevlex, so the walk
+    ends.  Each memo miss and each staircase layer checks the
+    time.perf_counter() deadline.
     """
 
     def __init__(self, gb: GroebnerBasis, deadline: float | None = None) -> None:
         self.gb = gb
         self.deadline = deadline
-        self.rows: dict[Monomial, dict[Monomial, Fraction]] = {}
+        self.rows: dict[Monomial, tuple[IntTerms, int]] = {}
 
     @cached_property
     def standard(self) -> tuple[Monomial, ...]:
@@ -212,51 +214,54 @@ class Quotient:
     def index(self) -> dict[Monomial, int]:
         return {m: i for i, m in enumerate(self.standard)}
 
-    def nf(self, mono: Monomial) -> dict[Monomial, Fraction]:
-        """The memo row of mono; shared, so callers must not mutate it."""
+    def row(self, mono: Monomial) -> tuple[IntTerms, int]:
+        """The memo entry (r, den) of mono; shared, so callers must not
+        mutate r."""
         rows = self.rows
         if mono in rows:
             return rows[mono]
-        # (monomial, its shifted tail terms once expanded); an entry whose
-        # targets are missing goes back under them and is finished after
-        stack: list[tuple[Monomial, list | None]] = [(mono, None)]
+        # (monomial, lc, its shifted tail terms once expanded); an entry
+        # whose targets are missing goes back under them and is finished after
+        stack: list[tuple[Monomial, int, list | None]] = [(mono, 1, None)]
         while stack:
-            m, tail = stack.pop()
+            m, lc, tail = stack.pop()
             if m in rows:
                 continue
             check_deadline(self.deadline, "normal forms")
             if tail is None:
-                for lm, g in zip(self.gb.leads, self.gb.generators):
+                for lm, g in zip(self.gb.leads, self.gb.integer_generators):
                     if _divides(lm, m):
                         break
                 else:
-                    rows[m] = {m: Fraction(1)}
+                    rows[m] = ({m: 1}, 1)
                     continue
-                shift = _quotient(m, lm)
+                shift, lc = _quotient(m, lm), g[lm]
                 tail = [(tuple(map(add, t, shift)), c)
-                        for t, c in g.terms.items() if t != lm]
-                missing = [(t, None) for t, _ in tail if t not in rows]
+                        for t, c in g.items() if t != lm]
+                missing = [(t, 1, None) for t, _ in tail if t not in rows]
                 if missing:
-                    stack.append((m, tail))
+                    stack.append((m, lc, tail))
                     stack.extend(missing)
                     continue
-            row: dict[Monomial, Fraction] = {}
-            for t, c in tail:
-                _add_scaled(row, -c, rows[t])
-            rows[m] = row
+            row, den = _over_lcm([(-c, rows[t]) for t, c in tail])
+            rows[m] = _lowest(row, den * lc)
         return rows[mono]
 
-    def product(
-        self, p: dict[Monomial, Fraction], q: dict[Monomial, Fraction]
-    ) -> dict[Monomial, Fraction]:
-        """NF(p * q) for polynomials as {monomial: coefficient}, a new dict."""
-        out: dict[Monomial, Fraction] = {}
-        for s, c in p.items():
-            for t, d in q.items():
-                _add_scaled(out, c * d, self.nf(tuple(map(add, s, t))))
-        return out
+    def nf(self, mono: Monomial) -> dict[Monomial, Fraction]:
+        """NF(mono) as {standard monomial: Fraction}, a new dict."""
+        row, den = self.row(mono)
+        return {m: Fraction(c, den) for m, c in row.items()}
 
-    def coordinates(self, terms: dict[Monomial, Fraction]) -> dict[int, Fraction]:
+    def product(self, p: IntTerms, q: IntTerms) -> tuple[IntTerms, int]:
+        """NF(p * q) = r / den for integer polynomials {monomial: int}, as
+        (r, den) with r a new dict: the memo rows of the products of terms,
+        summed over their least common denominator."""
+        rows, row_of = self.rows, self.row
+        return _over_lcm([(c * d, rows[m] if m in rows else row_of(m))
+                          for s, c in p.items() for t, d in q.items()
+                          for m in [tuple(map(add, s, t))]])
+
+    def coordinates(self, terms: dict) -> dict:
         """A normal form {standard monomial: c} as {index: c}."""
         index = self.index
         return {index[m]: c for m, c in terms.items()}

@@ -12,6 +12,7 @@ the product tables in extended.py.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .groebner import (
     GroebnerBasis,
@@ -20,8 +21,9 @@ from .groebner import (
     check_deadline,
     is_zero_dimensional,
 )
-from .linalg import Span
+from .linalg import Span, _lowest
 from .polys import Monomial, Polynomial, RingContext, monomials_of_weight
+from .stats import Stats
 
 
 class SingularInputError(ValueError):
@@ -160,6 +162,7 @@ def deformed_subalgebra(
     max_pairs: int = 10**6,
     verify_extra_steps: int = 0,
     deadline: float | None = None,
+    stats: Stats | None = None,
 ) -> DeformedSubalgebraData:
     """Closure computation of R_{f+g}.
 
@@ -168,13 +171,15 @@ def deformed_subalgebra(
     basis v of V_k, since every weight-(k+1)*nu monomial factors; NF(m * v)
     sums the quotient's rows NF(m * s) over the terms c*s of v.  The
     iteration stops at the first k with V_{k+1} contained in the sum of
-    the earlier layers, which forces all later layers in as well.
+    the earlier layers, which forces all later layers in as well.  Layer
+    vectors stay integer rows over one denominator; the spans ignore it.
 
     verify_extra_steps > 0 keeps iterating that many layers past
     stabilization and raises if anything new appears (a consistency
     check for tests).  deadline bounds the Groebner basis, as in
     buchberger, and the closure: each normal form it reads and each
-    vector of a layer check it.
+    vector of a layer check it.  stats counts memo_rows, closure_products
+    and closure_dim.
     """
     if f.nvars != ctx.nvars or (not g.is_zero() and g.nvars != ctx.nvars):
         raise ValueError("arity mismatch with context")
@@ -190,15 +195,16 @@ def deformed_subalgebra(
     quotient = Quotient(gb, deadline)
     nstd = len(quotient.standard)
     weight_nu = [{m: 1} for m in monomials_of_weight(ctx.nvars, ctx.nu)]
-    one = Polynomial(ctx.nvars, quotient.nf((0,) * ctx.nvars))
-    if one.is_zero():
+    one = quotient.row((0,) * ctx.nvars)
+    if not one[0]:
         raise SingularDeformationError("the quotient S/J_(f+g) is zero")
 
     total_span = Span(nstd)
-    total_span.add(quotient.coordinates(one.terms))
+    total_span.add(quotient.coordinates(one[0]))
     basis = [one]
     layer = [one]
-    generators_nf: tuple[Polynomial, ...] = ()
+    generators: list[tuple[dict[Monomial, int], int]] = []
+    products = 0
     # a layer that adds nothing ends the closure, once verify_extra_steps
     # more layers have added nothing either
     stabilized_at = 0
@@ -206,23 +212,23 @@ def deformed_subalgebra(
     while layer and k <= stabilized_at + verify_extra_steps:
         k += 1
         layer_span = Span(nstd)
-        next_layer: list[Polynomial] = []
+        next_layer: list[tuple[dict[Monomial, int], int]] = []
         grew = False
-        for v in layer:
+        for row, den in layer:
             check_deadline(deadline, "the closure")
+            products += len(weight_nu)
             for m in weight_nu:
-                w = quotient.product(v.terms, m)
+                w, d = quotient.product(row, m)
                 if not w:
                     continue
                 cw = quotient.coordinates(w)
                 if layer_span.add(cw):
-                    w = Polynomial(ctx.nvars, w)
-                    next_layer.append(w)
+                    next_layer.append(_lowest(w, d * den))
                     if total_span.add(cw):
-                        basis.append(w)
+                        basis.append(next_layer[-1])
                         grew = True
         if k == 1:
-            generators_nf = tuple(next_layer)
+            generators = next_layer
         if grew:
             if k > stabilized_at + 1:
                 raise RuntimeError(
@@ -231,5 +237,16 @@ def deformed_subalgebra(
                 )
             stabilized_at = k
         layer = next_layer
-    return DeformedSubalgebraData(gb, quotient.standard, generators_nf,
-                                  tuple(basis), stabilized_at, quotient)
+    if stats is not None:
+        stats.count("memo_rows", len(quotient.rows))
+        stats.count("closure_products", products)
+        stats.count("closure_dim", len(basis))
+
+    def polynomials(vectors: list) -> tuple[Polynomial, ...]:
+        return tuple(Polynomial(ctx.nvars, {m: Fraction(c, den)
+                                            for m, c in row.items()})
+                     for row, den in vectors)
+
+    return DeformedSubalgebraData(
+        gb, quotient.standard, polynomials(generators), polynomials(basis),
+        stabilized_at, quotient)

@@ -1,14 +1,14 @@
 """Exact linear algebra over Q on sparse {column: value} rows.
 
 One kernel, _eliminate, serves rank_of and rref (forward elimination,
-then back-substitution for rref) and the incremental Span.  rank_of and
-rref run fraction-free (Bareiss, Math. Comp. 22, 1968): a row is scaled
-to integers once, on entry, and stored primitive; rref divides by its
-pivots on output.  Span keeps Fraction rows reduced to 1 at each pivot,
-since its coordinates are rational.  Vectors go in as dense lists or
-sparse dicts; rref, Span.basis_rows and Span.expand return dense lists of
-Fractions, Span.coordinates the sparse form.  check_deadline, the one
-wall-clock check of every stage, lives here, the lowest module.
+then back-substitution for rref) and the incremental Span, all three
+fraction-free (Bareiss, Math. Comp. 22, 1968): a row is scaled to
+integers once, on entry, and stored primitive; rref divides by the
+pivots on output, and Span.coordinates once per entry.  Vectors go in as
+dense lists or sparse dicts of ints or Fractions; rref, Span.basis_rows
+and Span.expand return dense lists of Fractions, Span.coordinates the
+sparse form.  check_deadline, the one wall-clock check of every stage,
+lives here, the lowest module.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, lcm
 
-Row = dict[int, Fraction]  # or dict[int, int] in the integer kernel
-Vector = list[Fraction] | Row
+Row = dict[int, int]  # or dict[int, Fraction] where results leave
+Vector = list[int | Fraction] | dict[int, int | Fraction]
 
 
 class BudgetExceeded(RuntimeError):
@@ -33,19 +33,18 @@ def check_deadline(deadline: float | None, stage: str) -> None:
         raise BudgetExceeded(f"wall clock budget exceeded in {stage}")
 
 
-def _sparse(vec: Vector, ncols: int, length_error: str) -> Row:
-    """A fresh sparse copy of vec, checked against ncols columns."""
+def _integer_row(vec: Vector, ncols: int, length_error: str) -> tuple[Row, int]:
+    """(den * vec as a fresh sparse integer row, den), checked for ncols."""
     if not isinstance(vec, dict):
         if len(vec) != ncols:
             raise ValueError(length_error)
         vec = dict(enumerate(vec))
-    elif not all(0 <= col < ncols for col in vec):
+    elif vec and not (min(vec) >= 0 and max(vec) < ncols):
         raise ValueError("column index out of range")
-    return {col: x for col, x in vec.items() if x}
-
-
-def _dense(row: Row, ncols: int) -> list[Fraction]:
-    return [row.get(col, Fraction(0)) for col in range(ncols)]
+    row = {col: x for col, x in vec.items() if x}
+    if {int}.issuperset(map(type, row.values())):
+        return row, 1
+    return _integral(row)
 
 
 def _integral(terms: dict) -> tuple[dict, int]:
@@ -53,6 +52,22 @@ def _integral(terms: dict) -> tuple[dict, int]:
     den = lcm(*(c.denominator for c in terms.values()))
     return {k: c.numerator * (den // c.denominator)
             for k, c in terms.items()}, den
+
+
+def _lowest(terms: dict, den: int) -> tuple[dict, int]:
+    """The integer terms / den in lowest terms, as (terms, den > 0)."""
+    common = (1 if den > 0 else -1) * gcd(den, *terms.values())
+    return {k: c // common for k, c in terms.items()}, den // common
+
+
+def _over_lcm(parts: list[tuple[int, tuple[dict, int]]]) -> tuple[dict, int]:
+    """(terms, den) with terms / den = sum c * r / d over the parts
+    (c, (r, d)) of integer terms r; den is the lcm of the d."""
+    den = lcm(*[d for _, (_, d) in parts])
+    out: dict = {}
+    for c, (r, d) in parts:
+        _add_scaled(out, c * (den // d), r)
+    return out, den
 
 
 def _primitive(terms: dict, lead) -> dict:
@@ -63,7 +78,7 @@ def _primitive(terms: dict, lead) -> dict:
     return {k: c // content for k, c in terms.items()}
 
 
-def _add_scaled(target: Row, scale: Fraction, row: Row) -> None:
+def _add_scaled(target: Row, scale: int | Fraction, row: Row) -> None:
     """target += scale * row, in place, dropping entries that cancel."""
     for col, x in row.items():
         val = target[col] + scale * x if col in target else scale * x
@@ -73,17 +88,18 @@ def _add_scaled(target: Row, scale: Fraction, row: Row) -> None:
             del target[col]
 
 
-def _eliminate(vec: Row, rows: dict[int, Row]) -> Row:
-    """Subtract rows from vec in place until no pivot of rows is left in it.
+def _eliminate(vec: Row, rows: dict[int, Row], coeffs: dict | None = None) -> int:
+    """Subtract multiples of rows from the integer vec, in place, until no
+    pivot of rows is left in it; returns the factor s vec was scaled by.
 
-    rows maps a pivot column to a row with entry 1 there, or a positive
-    integer a for integer rows and vec, and no entries left of it.  An
-    integer step first scales vec by a / gcd(a, b), b its entry there.
-    Pivots are cleared in increasing column order, so entries that a
-    subtraction brings in further right are cleared as well.  Returns the
-    multiple of each row that was subtracted, by pivot.
+    rows maps a pivot column to a primitive integer row with a positive
+    entry a there and no entries left of it.  A step first scales vec by
+    a / gcd(a, b), b its entry there.  Pivots are cleared in increasing
+    column order, so entries that a subtraction brings in further right
+    are cleared as well.  A coeffs dict receives (c, t) by pivot p, with
+    vec (out) = s * vec (in) - sum c * (s / t) * rows[p].
     """
-    coeffs: Row = {}
+    scale = 1
     todo = [col for col in vec if col in rows]
     heapq.heapify(todo)
     while todo:
@@ -92,17 +108,19 @@ def _eliminate(vec: Row, rows: dict[int, Row]) -> Row:
         if not c:
             continue
         row = rows[piv]
-        if row[piv] != 1:
-            g = gcd(row[piv], c)
-            c //= g
+        g = gcd(row[piv], c)
+        a, c = row[piv] // g, c // g
+        if a != 1:
+            scale *= a
             for col in vec:
-                vec[col] *= row[piv] // g
-        coeffs[piv] = c
+                vec[col] *= a
+        if coeffs is not None:
+            coeffs[piv] = c, scale
         for col in row:
             if col not in vec and col in rows:
                 heapq.heappush(todo, col)
         _add_scaled(vec, -c, row)
-    return coeffs
+    return scale
 
 
 def _echelon(rows: Iterable[Vector], ncols: int | None,
@@ -116,9 +134,7 @@ def _echelon(rows: Iterable[Vector], ncols: int | None,
     echelon: dict[int, Row] = {}
     for vec in rows:
         check_deadline(deadline, "the elimination")
-        v = _sparse(vec, ncols, "ragged matrix")
-        if not all(type(x) is int for x in v.values()):
-            v = _integral(v)[0]
+        v = _integer_row(vec, ncols, "ragged matrix")[0]
         _eliminate(v, echelon)
         if v:
             piv = min(v)
@@ -158,81 +174,75 @@ def rank_of(rows: Iterable[Vector], ncols: int | None = None,
 class Span:
     """Incrementally built subspace of Q^N with exact membership tests.
 
-    Rows are stored reduced and keyed by pivot column, in the order they
-    were accepted: each has entry 1 at its pivot, and that column is zero
-    in every other row.  When track_original is set, each reduced row
-    also carries its expression in the original accepted vectors, so
-    expand() can answer in that basis.
+    Rows are primitive integer rows in echelon form, keyed by pivot column
+    in the order they were accepted: what _eliminate leaves of a vector,
+    cleared to integers on entry, is the next row.  When track_original is
+    set, row p also carries (combo, scale) with scale * row p = sum
+    combo[j] * (accepted vector j), so coordinates() can answer in that
+    basis.
     """
 
-    __slots__ = ("ncols", "_rows", "_track", "_combos")
+    __slots__ = ("ncols", "_rows", "_combos")
 
     def __init__(self, ncols: int, track_original: bool = False) -> None:
         self.ncols = ncols
         self._rows: dict[int, Row] = {}
-        self._track = track_original
-        # _combos[piv][j] = coefficient of accepted vector j in row piv
-        self._combos: dict[int, Row] = {}
+        # _combos[piv] = (combo, scale) of row piv; None without tracking
+        self._combos = {} if track_original else None
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, vec: Vector) -> tuple[Row, Row]:
-        v = _sparse(vec, self.ncols, "wrong vector length")
-        return v, _eliminate(v, self._rows)
+    def _reduce(self, vec: Vector) -> tuple[Row, int, Row, int]:
+        """(residue, s, combo, d) with residue = s * vec - sum combo[j] *
+        (accepted vector j) / d; combo is empty without tracking."""
+        v, den = _integer_row(vec, self.ncols, "wrong vector length")
+        combos = self._combos
+        coeffs = None if combos is None else {}
+        scale = _eliminate(v, self._rows, coeffs)
+        combo, d = _over_lcm([(c * (scale // t), combos[p])
+                              for p, (c, t) in (coeffs or {}).items()])
+        return v, den * scale, combo, d
 
     def contains(self, vec: Vector) -> bool:
-        residue, _ = self._reduce(vec)
-        return not residue
+        return not self._reduce(vec)[0]
 
     def add(self, vec: Vector) -> bool:
         """Insert vec; returns True if it enlarged the span."""
-        v, coeffs = self._reduce(vec)
+        v, s, combo, d = self._reduce(vec)
         if not v:
             return False
         piv = min(v)
-        inv = 1 / v[piv]
-        v = {col: x * inv for col, x in v.items()}
-        combo: Row = {}
-        if self._track:
-            # vec = sum coeffs[p] * row_p + residue, so the new reduced row
-            # is inv * (vec - sum coeffs[p] * row_p) in original terms
-            combo = {self.dim: inv}
-            for p, c in coeffs.items():
-                _add_scaled(combo, -inv * c, self._combos[p])
-        for p, row in self._rows.items():
-            c = row.get(piv)
-            if c:
-                _add_scaled(row, -c, v)
-                if self._track:
-                    _add_scaled(self._combos[p], -c, combo)
-        self._rows[piv] = v
-        if self._track:
-            self._combos[piv] = combo
+        row = _primitive(v, piv)
+        if self._combos is not None:
+            # v = s*vec - combo/d, so (-d * v/row) * row = combo - s*d*vec
+            combo[self.dim] = -s * d
+            self._combos[piv] = _lowest(combo, -d * (v[piv] // row[piv]))
+        self._rows[piv] = row
         return True
 
-    def coordinates(self, vec: Vector) -> Row | None:
-        """Sparse coordinates {k: c} of vec in the accepted-vector basis,
-        or None when vec is outside the span.
+    def coordinates(self, vec: Vector, den: int = 1) -> Row | None:
+        """Sparse coordinates {k: c} of vec / den in the accepted-vector
+        basis, one division each, or None when vec is outside the span.
 
         Requires track_original.  Index k refers to the k-th vector for
         which add() returned True.
         """
-        if not self._track:
+        if self._combos is None:
             raise ValueError("span was built without original tracking")
-        residue, coeffs = self._reduce(vec)
+        residue, s, combo, d = self._reduce(vec)
         if residue:
             return None
-        out: Row = {}
-        for p, c in coeffs.items():
-            _add_scaled(out, c, self._combos[p])
-        return out
+        d *= s * den  # vec / den = combo / d
+        return {j: Fraction(x, d) for j, x in combo.items()}
 
     def expand(self, vec: Vector) -> list[Fraction] | None:
         """coordinates() as a dense list of length dim."""
         coords = self.coordinates(vec)
-        return None if coords is None else _dense(coords, self.dim)
+        return None if coords is None else [
+            coords.get(k, Fraction(0)) for k in range(self.dim)]
 
     def basis_rows(self) -> list[list[Fraction]]:
-        return [_dense(row, self.ncols) for row in self._rows.values()]
+        """The rows in reduced form, by pivot column."""
+        return rref(list(self._rows.values()), self.ncols)[0]

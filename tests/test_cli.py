@@ -346,6 +346,17 @@ def test_each_stage_runs_once_per_command(monkeypatch, capsys, argv,
     assert normal_forms == []
 
 
+def test_deform_fails_fast_on_a_singular_f(monkeypatch, capsys):
+    # the graded quotient of f comes first, so a singular f costs no
+    # closure and no product table
+    closures = count_calls(monkeypatch, "deformed_subalgebra")
+    code, _, err = run(capsys, ["deform", "--nvars", "4", "x0^4 + x1^4 + x2^4",
+                                "--", "x3^4 + x0^2*x1^2*x2^2*x3^2"])
+    assert code == 1
+    assert err == "hypothesis failure: singular hypersurface\n"
+    assert closures == []
+
+
 def test_moduli_builds_no_product_table(monkeypatch, capsys):
     # moduli prints dim R~ and its grading, both read off the Hilbert data
     import jmoduli.cli as cli

@@ -256,6 +256,32 @@ def test_deformed_products_match_ordered_pair_normal_forms(f_text, g_text):
             assert alg.products[a][b] == want
 
 
+@pytest.mark.parametrize("f_text,g_text,counters", [
+    ("x0^3 + x1^3 + x2^3", "x0*x1*x2",
+     {"memo_rows": 21, "closure_products": 20, "closure_dim": 2,
+      "table_products": 3}),
+    ("x0^4 + x1^4 + x2^4 + x3^4", "x0^8",
+     {"memo_rows": 413, "closure_products": 2730, "closure_dim": 48,
+      "table_products": 1176}),
+])
+def test_deform_stage_counters(f_text, g_text, counters):
+    from jmoduli.extended import extended_from_closure
+    from jmoduli.stats import Stats
+
+    f = parse_polynomial(f_text)
+    ctx = RingContext(f.nvars, f.nvars)
+    g = parse_polynomial(g_text, f.nvars)
+    stats = Stats()
+    data = deformed_subalgebra(f, g, ctx, stats=stats)
+    alg = extended_from_closure(data, ctx, stats=stats)
+    assert stats.counters == counters
+    assert data.dim == counters["closure_dim"]
+    # the counters are optional and change nothing
+    plain = deformed_subalgebra(f, g, ctx)
+    assert (plain.basis, plain.generators_nf) == (data.basis, data.generators_nf)
+    assert extended_from_closure(plain, ctx).products == alg.products
+
+
 # -- the command's deadline binds inside the closure and the products --------
 
 def test_passed_deadline_stops_the_closure(monkeypatch):

@@ -35,6 +35,13 @@ CASES = {
     "deform_cubic_hesse": ["deform", CUBIC, "x0*x1*x2"],
     "deform_quartic_transverse": ["deform", QUARTIC, "x0*x1*x2*x3"],
     "deform_quartic_jump": ["deform", QUARTIC, "x0^8"],
+    # rational coefficients in f and g: the closure and the product table
+    # carry denominators into the printed structure constants
+    "deform_quartic_pencil": ["deform", QUARTIC, "5/3*x0^8"],
+    "deform_cubic_rational": ["deform", "x0^3 + x1^3 + x2^3 - 3/2*x0*x1*x2",
+                              "2/7*x0^3*x1^3*x2^3 - 1/3*x0^3"],
+    "deform_cubic_weighted": ["deform", "1/2*x0^3 + 1/3*x1^3 + 1/5*x2^3",
+                              "7/11*x0*x1*x2"],
     "dgla_quintic": ["dgla", QUINTIC, "--degree", "1", "--weight", "2"],
     "dgla_quartic_low": ["dgla", QUARTIC, "--degree", "-1", "--weight", "6"],
     "dgla_quartic_mid": ["dgla", QUARTIC, "--degree", "0", "--weight", "4"],

@@ -364,10 +364,12 @@ def test_weight_table_matches_normal_form(name):
         ctx = RingContext(f.nvars, f.nvars)
         data = deformed_subalgebra(f, parse_polynomial(g_text, f.nvars), ctx)
         extended_from_closure(data, ctx)
-        rows = data.quotient.rows
-        assert len(rows) > len(data.standard_basis)
-        for mono, row in rows.items():
-            assert row == normal_form(Polynomial.monomial(mono), data.gb).terms
+        quotient = data.quotient
+        assert len(quotient.rows) > len(data.standard_basis)
+        # every memo row, through its Fraction view
+        for mono in quotient.rows:
+            want = normal_form(Polynomial.monomial(mono), data.gb).terms
+            assert quotient.nf(mono) == want
         return
     f = parse_polynomial(WEIGHT_TABLE_FORMS[name])
     ctx = RingContext(f.nvars, f.nvars)
@@ -413,9 +415,14 @@ def test_integer_kernel_matches_fraction_oracles(ideal):
     assert list(gb.generators) == want
     assert normal_form(probe, gb) == _reduce(
         probe, want, [g.leading_monomial() for g in want])
-    # the memo walks any ideal, zero-dimensional or not
+    # the memo walks any ideal, zero-dimensional or not; the product is
+    # an integer row over one denominator
     one = {(0,) * gb.nvars: 1}
-    assert Quotient(gb).product(probe.terms, one) == normal_form(probe, gb).terms
+    work, den = _integral(probe.terms)
+    row, row_den = Quotient(gb).product(work, one)
+    assert all(type(c) is int for c in row.values())
+    assert {m: Fraction(c, den * row_den) for m, c in row.items()} == \
+        normal_form(probe, gb).terms
 
 
 def box_scan(gb):

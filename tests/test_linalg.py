@@ -1,6 +1,7 @@
 """Exact row reduction and incremental spans."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -275,6 +276,83 @@ def test_integer_rows_match_dense_reference(matrix, sparse):
     assert rref(inputs, ncols) == want
     assert all(type(x) is int for r in inputs
                for x in (r.values() if sparse else r))  # input untouched
+
+
+def scaled_rows():
+    """A row as passed to Span: integers, all Fractions over one drawn
+    denominator (up to 10**30), or a mix of ints and such Fractions."""
+    denominators = st.one_of(st.integers(1, 7), st.integers(1, 10**30))
+    return st.tuples(st.sampled_from(("int", "fraction", "mixed")),
+                     denominators)
+
+
+def as_passed(row, form):
+    mode, q = form
+    if mode == "int":
+        return list(row)
+    return [Fraction(x, q) if mode == "fraction" or i % 2 else x
+            for i, x in enumerate(row)]
+
+
+def big_fractions():
+    """Small rationals, zeros, and ones with parts up to 10**30."""
+    return st.one_of(st.just(Fraction(0)),
+                     st.fractions(-3, 3, max_denominator=4),
+                     st.builds(Fraction, st.integers(-10**30, 10**30),
+                               st.integers(1, 10**30)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(integer_matrices(), st.data())
+def test_integer_span_matches_dense_reference(matrix, data):
+    # Span keeps primitive integer rows and, per row, an integer
+    # combination of the added vectors and one scale: every answer it
+    # gives must equal the dense Fraction reference
+    ncols, int_rows = matrix
+    forms = data.draw(st.lists(scaled_rows(), min_size=len(int_rows),
+                               max_size=len(int_rows)))
+    rows = [as_passed(r, form) for r, form in zip(int_rows, forms)]
+    sparse = data.draw(st.lists(st.booleans(), min_size=len(rows),
+                                max_size=len(rows)))
+    ref = [[Fraction(x) for x in r] for r in rows]
+    want_rows, want_rank, _ = dense_rref(ref)
+
+    span, plain = Span(ncols, track_original=True), Span(ncols)
+    accepted = []
+    inputs = [as_input(r, s) for r, s in zip(rows, sparse)]
+    for i, (row, vec) in enumerate(zip(ref, inputs)):
+        grows = dense_rref(ref[: i + 1])[1] > dense_rref(ref[:i])[1]
+        assert span.contains(vec) is not grows
+        assert span.add(vec) is grows
+        assert plain.add(vec) is grows
+        assert span.contains(vec) and plain.contains(vec)
+        if grows:
+            accepted.append(row)
+    assert span.dim == plain.dim == want_rank
+    assert span.basis_rows() == plain.basis_rows() == want_rows
+
+    coeffs = data.draw(st.lists(big_fractions(), min_size=len(accepted),
+                                max_size=len(accepted)))
+    target = combine(coeffs, accepted, ncols)
+    want = {k: c for k, c in enumerate(coeffs) if c}
+    assert span.expand(target) == coeffs
+    assert span.coordinates(as_input(target, data.draw(st.booleans()))) == want
+    # the same target as an integer row over one denominator
+    den = lcm(*(x.denominator for x in target))
+    int_target = [int(x * den) for x in target]
+    coords = span.coordinates(int_target, den)
+    assert coords == want
+    assert all(type(c) is Fraction for c in coords.values())
+
+    probe = data.draw(st.lists(big_entries(), min_size=ncols, max_size=ncols))
+    probe_row = [Fraction(x) for x in probe]
+    outside = dense_rref(accepted + [probe_row])[1] > len(accepted)
+    assert span.contains(probe) is not outside
+    expansion = span.expand(probe)
+    if outside:
+        assert expansion is None
+    else:
+        assert combine(expansion, accepted, ncols) == probe
 
 
 def test_passed_deadline_stops_rank_of():
