@@ -34,6 +34,8 @@ most once, graded one below F (L^d sits in F1 at degree d + 1).  The cap
 on y is what makes L a subcomplex; F pieces carry every power of y.
 DerivationElement views such an element through its parts xi_parts,
 del_part and e_part, and the differential and bracket of L are those of F.
+TPolynomial and FElement take their sums, equality and ring check from
+polys.SparseSum; only their keys, constructors and products live here.
 
 The odd bracket on wedge words peels the leftmost letter:
 
@@ -64,6 +66,7 @@ from .linalg import _integral, check_deadline, rank_of
 from .polys import (
     Monomial,
     Polynomial,
+    SparseSum,
     _add_term,
     degrevlex_key,
     monomial_factors,
@@ -143,14 +146,14 @@ def _coeff_factors(mono: Monomial, yexp: int) -> list[str]:
 # the coefficient ring T = S[y]
 
 
-class TPolynomial:
+class TPolynomial(SparseSum):
     """Sparse element of S[y], keyed by (x-exponents, y-exponent).
 
     Weight of x^a y^b is |a| + b*nu, homological degree is -b.  nu rides
     along on the object so weights are computable without extra context.
     """
 
-    __slots__ = ("nvars", "nu", "terms")
+    __slots__ = ()
 
     def __init__(self, nvars: int, nu: int, terms=None) -> None:
         self.nvars = nvars
@@ -188,36 +191,6 @@ class TPolynomial:
     def from_s(cls, p: Polynomial, nu: int) -> "TPolynomial":
         return cls(p.nvars, nu, {(m, 0): c for m, c in p.terms.items()})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TPolynomial):
-            return NotImplemented
-        return (self.nvars, self.nu, self.terms) == (
-            other.nvars, other.nu, other.terms)
-
-    def _check(self, other: "TPolynomial") -> None:
-        if self.nvars != other.nvars or self.nu != other.nu:
-            raise ValueError("mixed carrier rings")
-
-    def __add__(self, other: "TPolynomial") -> "TPolynomial":
-        self._check(other)
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            _add_term(terms, k, v)
-        return TPolynomial(self.nvars, self.nu, terms)
-
-    def __neg__(self) -> "TPolynomial":
-        return TPolynomial(self.nvars, self.nu,
-                           {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other: "TPolynomial") -> "TPolynomial":
-        return self + (-other)
-
     def __mul__(self, other: "TPolynomial") -> "TPolynomial":
         self._check(other)
         terms: dict = {}
@@ -225,11 +198,6 @@ class TPolynomial:
             for (mb, yb), cb in other.terms.items():
                 _add_term(terms, (_mono_mul(ma, mb), ya + yb), ca * cb)
         return TPolynomial(self.nvars, self.nu, terms)
-
-    def scale(self, coeff) -> "TPolynomial":
-        c = Fraction(coeff)
-        return TPolynomial(self.nvars, self.nu,
-                           {k: c * v for k, v in self.terms.items()})
 
     def partial_x(self, index: int) -> "TPolynomial":
         terms: dict = {}
@@ -311,7 +279,7 @@ def _word_weight(word: tuple, nu: int) -> int:
     return sum(_letter_weight(l, nu) for l in word)
 
 
-class FElement:
+class FElement(SparseSum):
     """Formal sum of wedge words with coefficients in T.
 
     Terms are keyed by (word, x-exponents, y-exponent).  Words hold at
@@ -323,7 +291,7 @@ class FElement:
     operands, so L views stay L views.
     """
 
-    __slots__ = ("nvars", "nu", "terms")
+    __slots__ = ()
 
     def __init__(self, nvars: int, nu: int, terms=None) -> None:
         cap = nvars - 2
@@ -344,13 +312,6 @@ class FElement:
         self.nvars, self.nu, self.terms = nvars, nu, clean
 
     @classmethod
-    def _of(cls, nvars: int, nu: int, terms: dict) -> "FElement":
-        """An element whose terms are already canonical and nonzero."""
-        out = object.__new__(cls)
-        out.nvars, out.nu, out.terms = nvars, nu, terms
-        return out
-
-    @classmethod
     def zero(cls, nvars: int, nu: int) -> "FElement":
         return cls._of(nvars, nu, {})
 
@@ -366,41 +327,6 @@ class FElement:
         return cls(nvars, nu,
                    {(tuple(letters), mono, yexp): v
                     for (mono, yexp), v in c.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FElement):
-            return NotImplemented
-        return (self.nvars, self.nu, self.terms) == (
-            other.nvars, other.nu, other.terms)
-
-    def _check(self, other: "FElement") -> None:
-        if self.nvars != other.nvars or self.nu != other.nu:
-            raise ValueError("mixed carrier rings")
-
-    def __add__(self, other: "FElement") -> "FElement":
-        self._check(other)
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            _add_term(terms, k, v)
-        return _result_type(self, other)._of(self.nvars, self.nu, terms)
-
-    def __neg__(self) -> "FElement":
-        return self._of(self.nvars, self.nu,
-                        {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other: "FElement") -> "FElement":
-        return self + (-other)
-
-    def scale(self, coeff) -> "FElement":
-        c = Fraction(coeff)
-        return self._of(self.nvars, self.nu,
-                        {k: c * v for k, v in self.terms.items()} if c else {})
 
     def wedge(self, other: "FElement") -> "FElement":
         self._check(other)
@@ -419,11 +345,6 @@ class FElement:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({render_f_element(self)!r})"
-
-
-def _result_type(a: FElement, b: FElement) -> type:
-    """A sum or bracket stays an L view only when both operands are."""
-    return type(a) if isinstance(b, type(a)) else FElement
 
 
 class DerivationElement(FElement):
@@ -717,7 +638,7 @@ def schouten_bracket_F(a: FElement, b: FElement) -> FElement:
     for ka, va in a.terms.items():
         for kb, vb in b.terms.items():
             _merge(out, _bracket_terms(nvars, nu, cap, ka, va, kb, vb))
-    return _result_type(a, b)._of(nvars, nu, out)
+    return a._sum_type(b)._of(nvars, nu, out)
 
 
 def bracket_L(a: DerivationElement, b: DerivationElement) -> DerivationElement:

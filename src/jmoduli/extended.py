@@ -5,20 +5,22 @@ weight-k*nu graded pieces of S/J_f (k = 0..n-1); for a deformation f+g
 it is the closure subalgebra R_{f+g}.  The e-classes multiply to zero
 against everything except the unit.  Structure constants are stored
 sparsely; only the pairs i <= j are computed, and the mirrored entry
-products[j][i] is the same dict as products[i][j].  Every product is
-read off the memoized monomial normal forms of the quotient
-(groebner.Quotient) that the graded quotient or the closure built, not
-from a division per pair, and checks the command's deadline once per
-basis vector.  graded_shape reads the grading of R-tilde off r_k alone.
+products[j][i] is the same dict as products[i][j].  One loop fills
+both tables: each basis vector is an integer row over one denominator
+(a graded monomial m is ({m: 1}, 1)), every product is read off the
+memoized monomial normal forms of the quotient (groebner.Quotient) that
+the graded quotient or the closure built, not from a division per pair,
+and is expanded over the basis by Span.coordinates; the loop checks the
+command's deadline once per basis vector.  graded_shape reads the
+grading of R-tilde off r_k alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
-from .groebner import check_deadline
+from .groebner import Quotient, check_deadline
 from .jacobian import (
     DeformedSubalgebraData,
     GradedQuotientData,
@@ -89,18 +91,40 @@ def structure_constants(
     return out
 
 
-def _e_products(nprim: int, n_e: int, unit_index: int) -> ProductTable:
-    """A table for nprim primitive classes followed by n_e e-classes, with
-    only the e-class rules filled in.
+def _product_table(quotient: Quotient, basis: list[tuple[dict, int]],
+                   n: int, stats: Stats | None = None) -> ProductTable:
+    """The table of R-tilde on the primitive classes r / den, given as
+    (r, den) with r an integer row over standard monomials and the unit
+    first, followed by n e-classes.
 
     e_i * e_j = 0 and e_i * [h] = 0 except against the unit:
-    1 * e_i = e_i * 1 = e_i.
+    1 * e_i = e_i * 1 = e_i.  A primitive product NF(pa * pb) is summed
+    from the quotient's memo rows and expanded over the basis by exact
+    elimination; a linearly dependent basis, or a product outside its
+    span, is an internal error.  stats counts table_products.
     """
-    dim = nprim + n_e
+    span = Span(len(quotient.standard), track_original=True)
+    for row, _ in basis:
+        if not span.add(quotient.coordinates(row)):
+            raise RuntimeError("stored basis is linearly dependent")
+    dim = len(basis) + n
     table: ProductTable = [[{} for _ in range(dim)] for _ in range(dim)]
-    for e in range(nprim, dim):
-        table[unit_index][e] = {e: Fraction(1)}
-        table[e][unit_index] = {e: Fraction(1)}
+    for e in range(len(basis), dim):
+        table[0][e] = table[e][0] = {e: Fraction(1)}
+    for b, (pb, db) in enumerate(basis):
+        check_deadline(quotient.deadline, "the products")
+        for a in range(b + 1):
+            pa, da = basis[a]
+            nf, den = quotient.product(pa, pb)
+            expansion = span.coordinates(quotient.coordinates(nf),
+                                         den * da * db)
+            if expansion is None:
+                raise RuntimeError(
+                    "product left the span of the basis; inconsistent quotient"
+                )
+            table[a][b] = table[b][a] = expansion
+    if stats is not None:
+        stats.count("table_products", len(basis) * (len(basis) + 1) // 2)
     return table
 
 
@@ -126,9 +150,9 @@ def extended_from_quotient(
     """R-tilde from the graded quotient S/J_f.
 
     Basis: the standard monomials of weight k*nu for k = 0..n-1, then
-    e_0..e_{n-1}, graded by graded_shape.  The product of two basis
-    monomials is the quotient's normal form of their product; above the
-    socle weight there is no standard monomial, so it is zero.
+    e_0..e_{n-1}, graded by graded_shape.  Each basis monomial m enters
+    the table as the row ({m: 1}, 1); a product above the socle weight
+    reduces to zero.
     """
     if not data.standard_basis:
         raise SingularInputError("the quotient S/J_f is zero")
@@ -137,31 +161,11 @@ def extended_from_quotient(
         raise SingularInputError("f has one variable: R~ is zero, with no unit")
     monos = [(mono, k) for k in range(n)
              for mono in data.primitive_basis(k, ctx.nu)]
+    table = _product_table(data.quotient, [({m: 1}, 1) for m, _ in monos], n)
     labels: list[Label] = [PrimitiveClass(Polynomial.monomial(mono), k)
                            for mono, k in monos]
-    index_of_mono = {mono: i for i, (mono, _) in enumerate(monos)}
-    nprim = len(monos)
-    unit_index = index_of_mono[(0,) * ctx.nvars]
-    table = _e_products(nprim, n, unit_index)
-    socle = len(data.hilbert) - 1
-    quotient = data.quotient
-    for a, (ma, ka) in enumerate(monos):
-        check_deadline(quotient.deadline, "the products")
-        for b in range(a, nprim):
-            mb, kb = monos[b]
-            if (ka + kb) * ctx.nu > socle:
-                continue
-            nf = quotient.nf(tuple(map(add, ma, mb)))
-            if not nf.keys() <= index_of_mono.keys():
-                raise RuntimeError(
-                    "normal form left the graded basis; inconsistent quotient"
-                )
-            entry = {index_of_mono[mono]: coeff for mono, coeff in nf.items()}
-            table[a][b] = table[b][a] = entry
-
     labels += [EClass(t) for t in range(n)]
-    return ExtendedAlgebra(tuple(labels), table,
-                           graded_shape(data.r_dims), unit_index)
+    return ExtendedAlgebra(tuple(labels), table, graded_shape(data.r_dims), 0)
 
 
 def build_extended_deformed(
@@ -180,36 +184,13 @@ def extended_from_closure(
 ) -> ExtendedAlgebra:
     """R-tilde_{f+g} from the closure R_{f+g}.
 
-    Primitive products NF(pa * pb), summed from the quotient's monomial
-    normal forms over integer copies of the basis, are re-expanded over
-    the stored basis by exact elimination; a product falling outside the
-    span is an internal error (closure guarantees membership).  The
-    closure puts the unit first.  stats counts table_products.
+    The table is filled from integer copies of the closure basis, which
+    puts the unit first; closure guarantees that every product stays in
+    its span.  stats counts table_products.
     """
-    quotient = data.quotient
-    span = Span(len(data.standard_basis), track_original=True)
-    for b in data.basis:
-        if not span.add(quotient.coordinates(b.terms)):
-            raise RuntimeError("stored closure basis is linearly dependent")
-    integral = [_integral(b.terms) for b in data.basis]
-
     n = ctx.nvars - 1
-    table = _e_products(len(data.basis), n, unit_index=0)
-    for b, (pb, db) in enumerate(integral):
-        check_deadline(quotient.deadline, "the products")
-        for a in range(b + 1):
-            pa, da = integral[a]
-            nf, den = quotient.product(pa, pb)
-            expansion = span.coordinates(quotient.coordinates(nf),
-                                         den * da * db)
-            if expansion is None:
-                raise RuntimeError(
-                    "product left the closure span; closure invariant violated"
-                )
-            table[a][b] = table[b][a] = expansion
-    if stats is not None:
-        stats.count("table_products", len(integral) * (len(integral) + 1) // 2)
-
+    table = _product_table(data.quotient,
+                           [_integral(b.terms) for b in data.basis], n, stats)
     labels: list[Label] = [PrimitiveClass(b, None) for b in data.basis]
     labels += [EClass(t) for t in range(n)]
     return ExtendedAlgebra(tuple(labels), table, None, 0)

@@ -248,7 +248,8 @@ class Quotient:
         return rows[mono]
 
     def nf(self, mono: Monomial) -> dict[Monomial, Fraction]:
-        """NF(mono) as {standard monomial: Fraction}, a new dict."""
+        """NF(mono) as {standard monomial: Fraction}, a new dict: the
+        Fraction view of the memo row, for weight_normal_forms and tests."""
         row, den = self.row(mono)
         return {m: Fraction(c, den) for m, c in row.items()}
 

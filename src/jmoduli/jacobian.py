@@ -98,7 +98,7 @@ def graded_quotient(
         raise SingularInputError("singular hypersurface")
     quotient = Quotient(gb, deadline)
     std = quotient.standard
-    socle = ctx.nvars * (ctx.nu - 2)
+    socle = ctx.socle_weight
     hilbert = [0] * (socle + 1)
     for mono in std:
         w = sum(mono)

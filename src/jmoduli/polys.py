@@ -13,12 +13,17 @@ command line interface:
 
 Whitespace is insignificant.  A leading '-' binds to the first term's
 coefficient; there is no unary minus in front of a bare factor.
+
+SparseSum is the one sparse-term algebra of the package: Polynomial
+here, and TPolynomial and FElement in dgla, differ only in their term
+keys, constructors and products, and share its sums, equality and
+ring check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Monomial = tuple[int, ...]
 
@@ -50,13 +55,74 @@ def _add_term(acc: dict, key, value) -> None:
         acc.pop(key, None)
 
 
-class Polynomial:
-    """Immutable sparse polynomial over Q."""
+class SparseSum:
+    """A sparse sum of terms over Q: terms maps each term key to its nonzero
+    Fraction coefficient.
 
-    __slots__ = ("nvars", "terms")
+    The ring is named by nvars and nu, the weight of y in S[y] (None for S
+    itself); operands from different rings raise ValueError.  Each subclass
+    fixes its term keys and validates them in its constructor; the sums
+    here build results through _of, which trusts its terms.  A sum has the
+    type of an operand that is an instance of the other's type, so a
+    subclass view stays a view only when both operands are views.
+    """
+
+    __slots__ = ("nvars", "nu", "terms")
+
+    @classmethod
+    def _of(cls, nvars: int, nu: int | None, terms: dict):
+        """An element whose terms are already canonical and nonzero."""
+        out = object.__new__(cls)
+        out.nvars, out.nu, out.terms = nvars, nu, terms
+        return out
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self.nvars, self.nu, self.terms) == (
+            other.nvars, other.nu, other.terms)
+
+    def _check(self, other: SparseSum) -> None:
+        if self.nvars != other.nvars or self.nu != other.nu:
+            raise ValueError(f"mixed rings: nvars={self.nvars}, nu={self.nu} "
+                             f"vs nvars={other.nvars}, nu={other.nu}")
+
+    def _sum_type(self, other: SparseSum) -> type:
+        return type(self) if isinstance(other, type(self)) else type(other)
+
+    def __add__(self, other):
+        self._check(other)
+        terms = dict(self.terms)
+        for k, v in other.terms.items():
+            _add_term(terms, k, v)
+        return self._sum_type(other)._of(self.nvars, self.nu, terms)
+
+    def __neg__(self):
+        return self._of(self.nvars, self.nu, {k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, coeff: Fraction | int):
+        c = Fraction(coeff)
+        return self._of(self.nvars, self.nu,
+                        {k: c * v for k, v in self.terms.items()} if c else {})
+
+
+class Polynomial(SparseSum):
+    """Immutable sparse polynomial over Q, keyed by exponent tuples."""
+
+    __slots__ = ()
 
     def __init__(self, nvars: int, terms: dict[Monomial, Fraction] | None = None) -> None:
         self.nvars = nvars
+        self.nu = None
         clean: dict[Monomial, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
@@ -90,25 +156,11 @@ class Polynomial:
 
     # predicates and accessors ---------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
     def __hash__(self) -> int:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.terms.get(mono, Fraction(0))
-
-    def monomials(self) -> Iterator[Monomial]:
-        return iter(self.terms)
 
     def leading_monomial(self) -> Monomial:
         """Largest monomial in graded reverse lex order.  Zero has none."""
@@ -130,32 +182,13 @@ class Polynomial:
 
     # arithmetic -----------------------------------------------------------
 
-    def __add__(self, other: Polynomial) -> Polynomial:
-        self._check_arity(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            _add_term(terms, mono, coeff)
-        return Polynomial(self.nvars, terms)
-
-    def __neg__(self) -> Polynomial:
-        return Polynomial(self.nvars, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: Polynomial) -> Polynomial:
-        return self + (-other)
-
     def __mul__(self, other: Polynomial) -> Polynomial:
-        self._check_arity(other)
+        self._check(other)
         terms: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 _add_term(terms, tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
         return Polynomial(self.nvars, terms)
-
-    def scale(self, coeff: Fraction | int) -> Polynomial:
-        c = Fraction(coeff)
-        if not c:
-            return Polynomial.zero(self.nvars)
-        return Polynomial(self.nvars, {m: c * v for m, v in self.terms.items()})
 
     def monic(self) -> Polynomial:
         """Divide by the leading coefficient."""
@@ -180,10 +213,6 @@ class Polynomial:
                 lowered = mono[:index] + (e - 1,) + mono[index + 1 :]
                 terms[lowered] = terms.get(lowered, Fraction(0)) + coeff * e
         return Polynomial(self.nvars, terms)
-
-    def _check_arity(self, other: Polynomial) -> None:
-        if self.nvars != other.nvars:
-            raise ValueError(f"arity mismatch: {self.nvars} vs {other.nvars}")
 
     def __repr__(self) -> str:
         return f"Polynomial({render_polynomial(self)!r})"

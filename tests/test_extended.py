@@ -318,3 +318,18 @@ def test_passed_deadline_stops_the_products():
         data.quotient.deadline = time.perf_counter() - 1
         with pytest.raises(BudgetExceeded, match="products"):
             stage(data, CTX3)
+
+
+def test_product_table_rejects_a_basis_that_is_not_closed_or_independent():
+    from dataclasses import replace
+
+    from jmoduli.extended import extended_from_closure
+
+    data = deformed_subalgebra(CUBIC, parse_polynomial("x0*x1*x2", 3), CTX3)
+    one, x0 = data.basis[0], Polynomial.variable(3, 0)
+    # x0 * x0 = -x1*x2/3 in S/J_(f+g), outside the span of 1 and x0
+    with pytest.raises(RuntimeError, match="left the .*span"):
+        extended_from_closure(replace(data, basis=(one, x0)), CTX3)
+    with pytest.raises(RuntimeError, match="linearly dependent"):
+        extended_from_closure(
+            replace(data, basis=(*data.basis, one.scale(2))), CTX3)

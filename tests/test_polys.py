@@ -260,3 +260,67 @@ def test_ring_context():
         RingContext(0, 1)
     with pytest.raises(ValueError):
         RingContext(2, 0)
+
+
+# -- the sparse sums: S, T = S[y] and the wedge module F -----------------------
+
+
+def _sums_in(kind, nvars, nu):
+    """Two equal elements of the named class, built along different paths."""
+    from jmoduli.dgla import FElement, TPolynomial
+
+    x0, x1 = Polynomial.variable(nvars, 0), Polynomial.variable(nvars, 1)
+    if kind == "Polynomial":
+        return x0, (x0 + x1) - x1
+    if kind == "TPolynomial":
+        t = TPolynomial.monomial(nvars, nu, x0.leading_monomial(), 1)
+        return t, TPolynomial.y(nvars, nu) * TPolynomial.from_s(x0, nu)
+    d0, d1 = (FElement.word(nvars, nu, (i,)) for i in (0, 1))
+    return d0, (d0.scale(2) + d1).scale(Fraction(1, 2)) - d1.scale(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("kind", ["Polynomial", "TPolynomial", "FElement"])
+def test_sparse_sums_keep_their_semantics(kind):
+    import operator
+
+    from jmoduli.dgla import DerivationElement, FElement, TPolynomial
+
+    a, b = _sums_in(kind, 3, 3)
+    assert type(a).__name__ == type(b).__name__ == kind
+    assert a == b and not a != b
+    assert a + b == a.scale(2) and type(a + b) is type(a)
+    assert (a - b).is_zero() and not a - b and -(-a) == a
+    assert a.scale(0).is_zero() and bool(a)
+    # operands from different rings: S by nvars, T and F by nvars and nu
+    rings = [(4, 3)] if kind == "Polynomial" else [(4, 3), (3, 4)]
+    for nvars, nu in rings:
+        other = _sums_in(kind, nvars, nu)[0]
+        assert a != other
+        for op in (operator.add, operator.sub):
+            with pytest.raises(ValueError):
+                op(a, other)
+    if kind == "Polynomial":
+        paths = [a, b, Polynomial(3, {(1, 0, 0): Fraction(2, 2)}),
+                 Polynomial.monomial((1, 0, 0)), parse_polynomial("x0", 3),
+                 (a + a).scale(Fraction(1, 2)), -(-a)]
+        assert all(p == a for p in paths)
+        assert {hash(p) for p in paths} == {hash(a)} and len(set(paths)) == 1
+        return
+    with pytest.raises(TypeError):
+        hash(a)
+    if kind == "TPolynomial":
+        f = FElement.from_t(a)
+        assert a != f and f != a and not a == f
+        return
+    # an L view is an F element with one-letter words: equality compares
+    # terms, and a sum stays a view only when both operands are views
+    view = DerivationElement.x_direction(3, 3, 0)
+    assert view == a and a == view
+    with pytest.raises(TypeError):
+        hash(view)
+    for left, right in ((view, a), (a, view)):
+        assert type(left + right) is FElement
+        assert type(left - right) is FElement
+    assert type(view + view) is DerivationElement
+    assert type(view.scale(3)) is DerivationElement
+    assert a != TPolynomial.constant(3, 3, 1)
