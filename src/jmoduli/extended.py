@@ -10,9 +10,9 @@ both tables: each basis vector is an integer row over one denominator
 (a graded monomial m is ({m: 1}, 1)), every product is read off the
 memoized monomial normal forms of the quotient (groebner.Quotient) that
 the graded quotient or the closure built, not from a division per pair,
-and is expanded over the basis by Span.coordinates; the loop checks the
-command's deadline once per basis vector.  graded_shape reads the
-grading of R-tilde off r_k alone.
+and each distinct product is expanded over the basis by Span.coordinates
+once; the loop checks the command's deadline once per basis vector.
+graded_shape reads the grading of R-tilde off r_k alone.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groebner import Quotient, check_deadline
+from .groebner import Quotient, check_deadline, product_key
 from .jacobian import (
     DeformedSubalgebraData,
     GradedQuotientData,
@@ -100,8 +100,10 @@ def _product_table(quotient: Quotient, basis: list[tuple[dict, int]],
     e_i * e_j = 0 and e_i * [h] = 0 except against the unit:
     1 * e_i = e_i * 1 = e_i.  A primitive product NF(pa * pb) is summed
     from the quotient's memo rows and expanded over the basis by exact
-    elimination; a linearly dependent basis, or a product outside its
-    span, is an internal error.  stats counts table_products.
+    elimination, once per product_key and da * db; a zero one is {}, and
+    each pair gets its own copy.  A linearly dependent basis, or a
+    product outside its span, is an internal error.  stats counts
+    table_products (pairs) and table_distinct (products reduced).
     """
     span = Span(len(quotient.standard), track_original=True)
     for row, _ in basis:
@@ -111,20 +113,25 @@ def _product_table(quotient: Quotient, basis: list[tuple[dict, int]],
     table: ProductTable = [[{} for _ in range(dim)] for _ in range(dim)]
     for e in range(len(basis), dim):
         table[0][e] = table[e][0] = {e: Fraction(1)}
+    expansions: dict[tuple[frozenset, int], dict[int, Fraction]] = {}
     for b, (pb, db) in enumerate(basis):
         check_deadline(quotient.deadline, "the products")
         for a in range(b + 1):
             pa, da = basis[a]
-            nf, den = quotient.product(pa, pb)
-            expansion = span.coordinates(quotient.coordinates(nf),
-                                         den * da * db)
+            key = product_key(pa, pb), da * db
+            expansion = expansions.get(key)
             if expansion is None:
-                raise RuntimeError(
-                    "product left the span of the basis; inconsistent quotient"
-                )
-            table[a][b] = table[b][a] = expansion
+                nf, den = quotient.reduce(key[0])
+                expansion = nf and span.coordinates(quotient.coordinates(nf),
+                                                    den * key[1])
+                if expansion is None:
+                    raise RuntimeError("product left the span of the basis; "
+                                       "inconsistent quotient")
+                expansions[key] = expansion
+            table[a][b] = table[b][a] = dict(expansion)
     if stats is not None:
         stats.count("table_products", len(basis) * (len(basis) + 1) // 2)
+        stats.count("table_distinct", len(expansions))
     return table
 
 

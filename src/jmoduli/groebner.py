@@ -186,6 +186,17 @@ def weight_normal_forms(
     return {m: quotient.nf(m) for m in monomials_of_weight(gb.nvars, weight)}
 
 
+def product_key(p: IntTerms, q: IntTerms) -> frozenset:
+    """The integer polynomial p * q as the frozenset of its nonzero terms
+    (monomial, c): the closure and the product tables reduce each once."""
+    out: IntTerms = {}
+    for s, c in p.items():
+        for t, d in q.items():
+            m = tuple(map(add, s, t))
+            out[m] = out.get(m, 0) + c * d
+    return frozenset((m, c) for m, c in out.items() if c)
+
+
 class Quotient:
     """S/I for one reduced basis gb: the staircase, the index of each
     standard monomial, and a memo of monomial normal forms.
@@ -253,14 +264,11 @@ class Quotient:
         row, den = self.row(mono)
         return {m: Fraction(c, den) for m, c in row.items()}
 
-    def product(self, p: IntTerms, q: IntTerms) -> tuple[IntTerms, int]:
-        """NF(p * q) = r / den for integer polynomials {monomial: int}, as
-        (r, den) with r a new dict: the memo rows of the products of terms,
-        summed over their least common denominator."""
+    def reduce(self, key: frozenset) -> tuple[IntTerms, int]:
+        """NF(p) = r / den of a product_key p, summed from memo rows."""
         rows, row_of = self.rows, self.row
-        return _over_lcm([(c * d, rows[m] if m in rows else row_of(m))
-                          for s, c in p.items() for t, d in q.items()
-                          for m in [tuple(map(add, s, t))]])
+        return _over_lcm([(c, rows[m] if m in rows else row_of(m))
+                          for m, c in key])
 
     def coordinates(self, terms: dict) -> dict:
         """A normal form {standard monomial: c} as {index: c}."""

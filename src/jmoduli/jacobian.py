@@ -20,6 +20,7 @@ from .groebner import (
     buchberger,
     check_deadline,
     is_zero_dimensional,
+    product_key,
 )
 from .linalg import Span, _lowest
 from .polys import Monomial, Polynomial, RingContext, monomials_of_weight
@@ -173,13 +174,15 @@ def deformed_subalgebra(
     iteration stops at the first k with V_{k+1} contained in the sum of
     the earlier layers, which forces all later layers in as well.  Layer
     vectors stay integer rows over one denominator; the spans ignore it.
+    A layer forms each distinct polynomial v * m once (product_key): the
+    layer span already took or refused the normal form of a repeat.
 
     verify_extra_steps > 0 keeps iterating that many layers past
     stabilization and raises if anything new appears (a consistency
     check for tests).  deadline bounds the Groebner basis, as in
     buchberger, and the closure: each normal form it reads and each
     vector of a layer check it.  stats counts memo_rows, closure_products
-    and closure_dim.
+    (pairs (v, m)), closure_distinct (products formed) and closure_dim.
     """
     if f.nvars != ctx.nvars or (not g.is_zero() and g.nvars != ctx.nvars):
         raise ValueError("arity mismatch with context")
@@ -204,7 +207,7 @@ def deformed_subalgebra(
     basis = [one]
     layer = [one]
     generators: list[tuple[dict[Monomial, int], int]] = []
-    products = 0
+    products = distinct = 0
     # a layer that adds nothing ends the closure, once verify_extra_steps
     # more layers have added nothing either
     stabilized_at = 0
@@ -213,12 +216,17 @@ def deformed_subalgebra(
         k += 1
         layer_span = Span(nstd)
         next_layer: list[tuple[dict[Monomial, int], int]] = []
+        formed: set[frozenset] = set()  # the products v * m of this layer
         grew = False
         for row, den in layer:
             check_deadline(deadline, "the closure")
             products += len(weight_nu)
             for m in weight_nu:
-                w, d = quotient.product(row, m)
+                key = product_key(row, m)
+                if key in formed:
+                    continue
+                formed.add(key)
+                w, d = quotient.reduce(key)
                 if not w:
                     continue
                 cw = quotient.coordinates(w)
@@ -237,9 +245,11 @@ def deformed_subalgebra(
                 )
             stabilized_at = k
         layer = next_layer
+        distinct += len(formed)
     if stats is not None:
         stats.count("memo_rows", len(quotient.rows))
         stats.count("closure_products", products)
+        stats.count("closure_distinct", distinct)
         stats.count("closure_dim", len(basis))
 
     def polynomials(vectors: list) -> tuple[Polynomial, ...]:

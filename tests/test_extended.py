@@ -258,11 +258,11 @@ def test_deformed_products_match_ordered_pair_normal_forms(f_text, g_text):
 
 @pytest.mark.parametrize("f_text,g_text,counters", [
     ("x0^3 + x1^3 + x2^3", "x0*x1*x2",
-     {"memo_rows": 21, "closure_products": 20, "closure_dim": 2,
-      "table_products": 3}),
+     {"memo_rows": 21, "closure_products": 20, "closure_distinct": 20,
+      "closure_dim": 2, "table_products": 3, "table_distinct": 3}),
     ("x0^4 + x1^4 + x2^4 + x3^4", "x0^8",
-     {"memo_rows": 413, "closure_products": 2730, "closure_dim": 48,
-      "table_products": 1176}),
+     {"memo_rows": 413, "closure_products": 2730, "closure_distinct": 698,
+      "closure_dim": 48, "table_products": 1176, "table_distinct": 375}),
 ])
 def test_deform_stage_counters(f_text, g_text, counters):
     from jmoduli.extended import extended_from_closure

@@ -29,6 +29,7 @@ from jmoduli.groebner import (
     _primitive,
     _quotient,
     _spair,
+    product_key,
 )
 
 
@@ -419,7 +420,7 @@ def test_integer_kernel_matches_fraction_oracles(ideal):
     # an integer row over one denominator
     one = {(0,) * gb.nvars: 1}
     work, den = _integral(probe.terms)
-    row, row_den = Quotient(gb).product(work, one)
+    row, row_den = Quotient(gb).reduce(product_key(work, one))
     assert all(type(c) is int for c in row.values())
     assert {m: Fraction(c, den * row_den) for m, c in row.items()} == \
         normal_form(probe, gb).terms
