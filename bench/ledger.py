@@ -6,11 +6,12 @@ Usage, from the root of a git checkout:
     python3 bench/ledger.py --out BENCH_12.json
     python3 bench/ledger.py --check BENCH_12.json
 
-Each revision (--base, default HEAD~1; --head, default HEAD) is exported
-with ``git archive`` into a fresh temporary directory.  Every workload of
-BENCHMARK.json runs there through ``perfbench/run.py`` as a subprocess,
-once per seed, as pairs of runs whose order alternates from seed to
-seed, so that drifts in machine speed hit both revisions alike.
+The parent (HEAD~1) and HEAD are each exported with ``git archive``
+into a fresh temporary directory.  Every workload of BENCHMARK.json runs
+there through ``perfbench/run.py`` as a subprocess, for the benchmark's
+run_seconds, once per seed 61-70, as pairs of runs whose order
+alternates from seed to seed, so that drifts in machine speed hit both
+revisions alike.
 ``.bench_build/`` is removed after each run, so no run reads the result
 digests of an earlier one; the digests of argvs that both revisions ran
 must agree, or the ledger exits 1.  A workload's entry is the median of
@@ -23,14 +24,15 @@ three wall times, and the Stats counters of one run.
 File layout: {commit, python, settings, workloads: {name: {metric:
 median}}, runs: {name: [{metric: value}]}, cases: {name: {wall_ms,
 counters}}, parent: {commit, workloads, runs, cases}, digests: {shared,
-differ}}.  check() validates it without
-looking at the timings.
+differ}}.  check() validates it, and its settings against the seeds and
+run_seconds above, without looking at the timings.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import shutil
 import statistics
@@ -40,6 +42,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
+REVS = {"parent": "HEAD~1", "head": "HEAD"}
+SETTINGS = {"seeds": list(range(61, 71)), "seconds": BENCH["run_seconds"]}
 QUARTIC = "x0^4 + x1^4 + x2^4 + x3^4"
 CASES = {
     "deform_quartic_jump": (QUARTIC, "x0^8"),
@@ -104,27 +109,27 @@ def run_workload(copy: Path, workload: str, seed: int, seconds: float,
 def run_cases(copy: Path) -> dict:
     proc = subprocess.run(
         [sys.executable, "-c", CASE_SCRIPT, json.dumps(CASES)],
-        cwd=copy, env={"PYTHONPATH": str(copy / "src")}, check=True,
+        cwd=copy, env={**os.environ, "PYTHONPATH": str(copy / "src")},
+        check=True,
         capture_output=True, text=True)
     return json.loads(proc.stdout)
 
 
-def measure(base: str, head: str, seeds: list[int], seconds: float) -> dict:
-    workloads = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
-    names = [w["name"] for w in workloads]
-    revs = {"parent": git("rev-parse", base), "head": git("rev-parse", head)}
+def measure() -> dict:
+    names = [w["name"] for w in BENCH["workloads"]]
+    revs = {side: git("rev-parse", rev) for side, rev in REVS.items()}
     runs = {side: {name: [] for name in names} for side in revs}
     digests = {side: {name: {} for name in names} for side in revs}
     with tempfile.TemporaryDirectory() as tmp:
         copies = {side: export(rev, Path(tmp) / side)
                   for side, rev in revs.items()}
         for name in names:
-            for i, seed in enumerate(seeds):
+            for i, seed in enumerate(SETTINGS["seeds"]):
                 # which side runs first alternates from seed to seed
                 for side in sorted(copies, reverse=i % 2 == 1):
                     print(f"{side} {name} seed {seed}", file=sys.stderr)
                     runs[side][name].append(run_workload(
-                        copies[side], name, seed, seconds,
+                        copies[side], name, seed, SETTINGS["seconds"],
                         digests[side][name]))
         cases = {side: run_cases(copy) for side, copy in copies.items()}
     shared = differ = 0
@@ -142,7 +147,7 @@ def measure(base: str, head: str, seeds: list[int], seconds: float) -> dict:
     return {
         "commit": revs["head"],
         "python": platform.python_version(),
-        "settings": {"seeds": seeds, "seconds": seconds},
+        "settings": SETTINGS,
         "workloads": medians("head"),
         "runs": runs["head"],
         "cases": cases["head"],
@@ -154,9 +159,8 @@ def measure(base: str, head: str, seeds: list[int], seconds: float) -> dict:
 
 def check(doc: dict) -> list[str]:
     """Problems with the layout of a ledger file; timings are not judged."""
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = {w["name"] for w in bench["workloads"]}
-    metrics = {m["name"] for m in bench["end_to_end"]}
+    workloads = {w["name"] for w in BENCH["workloads"]}
+    metrics = {m["name"] for m in BENCH["end_to_end"]}
     problems = []
 
     def side(part: dict, where: str) -> None:
@@ -182,6 +186,8 @@ def check(doc: dict) -> list[str]:
 
     side(doc, "")
     side(doc.get("parent", {}), "parent.")
+    if doc.get("settings") != SETTINGS:
+        problems.append(f"settings {doc.get('settings')}, not {SETTINGS}")
     if not isinstance(doc.get("python"), str):
         problems.append("python version missing")
     digests = doc.get("digests", {})
@@ -195,11 +201,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path)
     parser.add_argument("--check", type=Path, nargs="+")
-    parser.add_argument("--base", default="HEAD~1")
-    parser.add_argument("--head", default="HEAD")
-    parser.add_argument("--seeds", type=int, nargs="+",
-                        default=list(range(61, 71)))
-    parser.add_argument("--seconds", type=float, default=25)
     args = parser.parse_args(argv)
     if args.check:
         bad = False
@@ -210,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if bad else 0
     if args.out is None:
         parser.error("pass --out FILE or --check FILE...")
-    doc = measure(args.base, args.head, args.seeds, args.seconds)
+    doc = measure()
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     if doc["digests"]["differ"]:
         print(f"{doc['digests']['differ']} result digests differ",
