@@ -3,8 +3,8 @@ for a commit and its parent, measured in the same session.
 
 Usage, from the root of a git checkout:
 
-    python3 bench/ledger.py --out BENCH_12.json
-    python3 bench/ledger.py --check BENCH_12.json
+    python3 bench/ledger.py --out BENCH_13.json
+    python3 bench/ledger.py --check BENCH_*.json
 
 The parent (HEAD~1) and HEAD are each exported with ``git archive``
 into a fresh temporary directory.  Every workload of BENCHMARK.json runs
@@ -17,9 +17,12 @@ digests of an earlier one; the digests of argvs that both revisions ran
 must agree, or the ledger exits 1.  A workload's entry is the median of
 each end-to-end metric over the seeds; runs keeps every run, by seed.
 
-The cases time the deform stages (closure, then product table) through
-the library in a child interpreter on the copy's src/: the minimum of
-three wall times, and the Stats counters of one run.
+The cases time library stages in a child interpreter on the copy's
+src/: the deform stages (closure, then product table) of two deform
+cases, and graded_quotient of the dense quartic of the golden files for
+moduli_dense_quartic: the minimum of three wall times, and the Stats
+counters of one run.  A revision whose graded_quotient takes no stats
+records no counters for that case.
 
 File layout: {commit, python, settings, workloads: {name: {metric:
 median}}, runs: {name: [{metric: value}]}, cases: {name: {wall_ms,
@@ -46,27 +49,38 @@ BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
 REVS = {"parent": "HEAD~1", "head": "HEAD"}
 SETTINGS = {"seeds": list(range(61, 71)), "seconds": BENCH["run_seconds"]}
 QUARTIC = "x0^4 + x1^4 + x2^4 + x3^4"
+DENSE_QUARTIC = (
+    QUARTIC + " + 2*x0^2*x1*x2 - x1*x2*x3^2 + 3*x0*x1*x2*x3 - x0^2*x3^2"
+    " + x1^3*x3 - 2*x0*x2^3 + x0*x1^2*x3 - 3*x2^2*x3^2 + x0*x1*x2^2"
+    " + 2*x1^2*x2*x3")
+# name: (f, g), or (f, None) for graded_quotient of f
 CASES = {
     "deform_quartic_jump": (QUARTIC, "x0^8"),
     "deform_quartic_square": (QUARTIC, "x0^2*x1^2*x2^2*x3^2"),
+    "moduli_dense_quartic": (DENSE_QUARTIC, None),
 }
 CASE_SCRIPT = """
-import json, sys, time
-from jmoduli import deformed_subalgebra, parse_polynomial, weight_of_or_none
+import inspect, json, sys, time
+from jmoduli import (deformed_subalgebra, graded_quotient, parse_polynomial,
+                     weight_of_or_none)
 from jmoduli.extended import extended_from_closure
 from jmoduli.polys import RingContext
 from jmoduli.stats import Stats
+counted = "stats" in inspect.signature(graded_quotient).parameters
 out = {}
 for name, (f_text, g_text) in json.loads(sys.argv[1]).items():
     f = parse_polynomial(f_text)
     ctx = RingContext(f.nvars, weight_of_or_none(f))
-    g = parse_polynomial(g_text, f.nvars)
     walls = []
     for _ in range(3):
         stats = Stats()
         start = time.perf_counter()
-        data = deformed_subalgebra(f, g, ctx, stats=stats)
-        extended_from_closure(data, ctx, stats=stats)
+        if g_text is None:
+            graded_quotient(f, ctx, **({"stats": stats} if counted else {}))
+        else:
+            data = deformed_subalgebra(
+                f, parse_polynomial(g_text, f.nvars), ctx, stats=stats)
+            extended_from_closure(data, ctx, stats=stats)
         walls.append(time.perf_counter() - start)
     out[name] = {"wall_ms": round(min(walls) * 1e3, 3),
                  "counters": stats.counters}

@@ -33,7 +33,7 @@ def tour(text, nvars):
 
     gb = buchberger(gens)
     std = standard_monomials(gb)
-    print(f"Groebner basis size {len(gb.generators)}, "
+    print(f"Groebner basis size {len(gb)}, "
           f"{len(std)} standard monomials")
 
     data = graded_quotient(f, ctx)

@@ -11,9 +11,10 @@ Division is fraction-free (Bareiss, Math. Comp. 22, 1968) on primitive
 integer polynomials {monomial: int} with positive leading coefficients:
 a step scales the dividend and the remainder by lc / gcd(coeff, lc)
 instead of dividing, and the next monomial comes off a heap.  It serves
-Buchberger and normal_form.  Everything downstream of a basis reads its
-normal forms from one Quotient per basis: the staircase and a memo of
-monomial normal forms.
+Buchberger and normal_form.  Buchberger's pair loop keeps one memo of
+each monomial's first divisor, as its reducers only grow.  Everything
+downstream of a basis reads its normal forms from one Quotient per
+basis: the staircase and a memo of monomial normal forms.
 
 Hilbert drive (Traverso, JSC 22, 1996): for n homogeneous generators of
 degrees d_i, dim (S/I)_d >= HF(d), the t^d coefficient of
@@ -35,7 +36,7 @@ from __future__ import annotations
 import enum
 import heapq
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from math import comb, gcd
@@ -53,32 +54,51 @@ class MonomialOrder(enum.Enum):
     DEGREVLEX = "degrevlex"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroebnerBasis:
-    generators: tuple[Polynomial, ...]
+    """A reduced Groebner basis: the leads and the primitive integer minimal
+    generators at once, the reduced generators (tail reduction) on first
+    read.  Equality and hashing are on (generators, order, nvars)."""
+
+    leads: tuple[Monomial, ...]
+    minimal: tuple[IntTerms, ...] = field(repr=False)
     order: MonomialOrder
     nvars: int
 
     @cached_property
-    def leads(self) -> tuple[Monomial, ...]:
-        """Leading monomials of the generators; not a field, so equality
-        and hashing are unchanged."""
-        return tuple(g.leading_monomial() for g in self.generators)
+    def generators(self) -> tuple[Polynomial, ...]:
+        """Monic, each minimal generator's tail reduced by the others; no
+        other lead divides its own, so the leads and their order survive."""
+        gens, leads, out = self.minimal, self.leads, []
+        for idx, lm in enumerate(leads):
+            tail, _ = _divide(dict(gens[idx]), gens[:idx] + gens[idx + 1:],
+                              leads[:idx] + leads[idx + 1:], {})
+            out.append(Polynomial(self.nvars, {
+                m: Fraction(c, tail[lm]) for m, c in tail.items()}))
+        return tuple(out)
 
     @cached_property
     def integer_generators(self) -> tuple[IntTerms, ...]:
-        """The monic generators with denominators cleared: primitive, with
-        a positive leading coefficient.  Cached like leads."""
+        """The reduced generators with denominators cleared: primitive,
+        with a positive leading coefficient."""
         return tuple(_integral(g.terms)[0] for g in self.generators)
 
     def leading_monomials(self) -> list[Monomial]:
         return list(self.leads)
 
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, GroebnerBasis) and (
+            self.generators, self.order, self.nvars) == (
+                other.generators, other.order, other.nvars)
+
+    def __hash__(self) -> int:
+        return hash((self.generators, self.order, self.nvars))
+
     def __iter__(self):
         return iter(self.generators)
 
     def __len__(self) -> int:
-        return len(self.generators)
+        return len(self.leads)
 
 
 def _divides(d: Monomial, m: Monomial) -> bool:
@@ -103,7 +123,8 @@ def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def _divide(
-    work: IntTerms, reducers: Sequence[IntTerms], lms: Sequence[Monomial]
+    work: IntTerms, reducers: Sequence[IntTerms], lms: Sequence[Monomial],
+    memo: dict[Monomial, int],
 ) -> tuple[IntTerms, int]:
     """(r, scale): r / scale is the remainder of work (consumed) divided
     by the monic reducers, and r lists its terms in descending order.
@@ -111,7 +132,10 @@ def _divide(
     lms[i] is the leading monomial of reducers[i], with a positive
     coefficient there.  The largest monomial left is either cancelled
     by the first reducer whose leading monomial divides it, or moved to
-    the remainder.
+    the remainder.  memo maps a monomial to the index of that reducer,
+    or to ~k when none of the first k divides it, so a later call scans
+    only the leads added since: it holds while reducers only grow by
+    appending, and callers whose reducers change otherwise pass {}.
     """
     # heap of (negated degrevlex key, monomial): the largest pops first.
     # A cancelled entry stays in work as 0, so each monomial is pushed once.
@@ -124,12 +148,18 @@ def _divide(
         coeff = work.pop(mono)
         if not coeff:
             continue
-        for lm, red in zip(lms, reducers):
-            if _divides(lm, mono):
-                break
-        else:
+        idx = memo.get(mono, -1)
+        if idx < 0:
+            for idx in range(~idx, len(lms)):
+                if _divides(lms[idx], mono):
+                    break
+            else:
+                idx = ~len(lms)
+            memo[mono] = idx
+        if idx < 0:
             remainder[mono] = coeff
             continue
+        lm, red = lms[idx], reducers[idx]
         lc = red[lm]
         common = gcd(coeff, lc)
         mult, coeff = lc // common, coeff // common
@@ -172,7 +202,7 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     if p.nvars != gb.nvars:
         raise ValueError("arity mismatch")
     work, den = _integral(p.terms)
-    remainder, scale = _divide(work, gb.integer_generators, gb.leads)
+    remainder, scale = _divide(work, gb.integer_generators, gb.leads, {})
     scale *= den
     return Polynomial(
         p.nvars, {m: Fraction(c, scale) for m, c in remainder.items()})
@@ -290,7 +320,9 @@ def buchberger(
     popped pair checks the time.perf_counter() deadline; running past
     either raises BudgetExceeded.  Exactly nvars homogeneous generators
     turn on the Hilbert drive (module docstring).  stats counts pairs,
-    skipped_criteria, skipped_hilbert, zero_reductions and basis_len.
+    skipped_criteria, skipped_hilbert, zero_reductions, basis_len and
+    divisor_memo (the monomials whose first divisor the pair loop looked
+    up).
     """
     if order is not MonomialOrder.DEGREVLEX:
         raise ValueError(f"unsupported monomial order: {order}")
@@ -330,6 +362,7 @@ def buchberger(
             push(i, j)
     treated: set[tuple[int, int]] = set()
     examined = 0
+    memo: dict[Monomial, int] = {}  # first divisors; working only grows
     while queue:
         _, i, j, lcm_ij = heapq.heappop(queue)
         treated.add((i, j))
@@ -362,7 +395,8 @@ def buchberger(
             tally["skipped_hilbert"] += 1
             continue
         remainder, _ = _divide(
-            _spair(working[i], lmi, working[j], lmj, lcm_ij), working, lms)
+            _spair(working[i], lmi, working[j], lmj, lcm_ij), working, lms,
+            memo)
         if remainder:
             t = len(working)
             lms.append(next(iter(remainder)))
@@ -378,24 +412,14 @@ def buchberger(
     # another's, keeping the degrevlex-smallest representatives
     minimal: list[IntTerms] = []
     min_lms: list[Monomial] = []
-    by_lead = sorted(zip(lms, working), key=lambda pair: degrevlex_key(pair[0]))
-    for lm, g in by_lead:
+    for lm, g in sorted(zip(lms, working), key=lambda p: degrevlex_key(p[0])):
         if not any(_divides(h, lm) for h in min_lms):
             minimal.append(g)
             min_lms.append(lm)
-    # reduce each generator's tail against the others; no other leading
-    # monomial divides its own, so the leading monomials and their
-    # ascending order survive
-    reduced = []
-    for idx, (g, lm) in enumerate(zip(minimal, min_lms)):
-        tail, _ = _divide(dict(g), minimal[:idx] + minimal[idx + 1 :],
-                          min_lms[:idx] + min_lms[idx + 1 :])
-        lc = tail[lm]
-        reduced.append(Polynomial(
-            nvars, {m: Fraction(c, lc) for m, c in tail.items()}))
-    gb = GroebnerBasis(tuple(reduced), order, nvars)
+    gb = GroebnerBasis(tuple(min_lms), tuple(minimal), order, nvars)
     if stats is not None:
-        for key, n in dict(pairs=examined, **tally, basis_len=len(gb)).items():
+        for key, n in dict(pairs=examined, **tally, basis_len=len(gb),
+                           divisor_memo=len(memo)).items():
             stats.count(key, n)
     return gb
 

@@ -44,13 +44,15 @@ def jacobian_ideal(f: Polynomial) -> list[Polynomial]:
 
 
 def jacobian_gb(
-    f: Polynomial, max_pairs: int = 10**6, deadline: float | None = None
+    f: Polynomial, max_pairs: int = 10**6, deadline: float | None = None,
+    stats: Stats | None = None,
 ) -> GroebnerBasis | None:
     """Groebner basis of J_f, or None when every partial vanishes."""
     partials = [p for p in jacobian_ideal(f) if not p.is_zero()]
     if not partials:
         return None
-    return buchberger(partials, max_pairs=max_pairs, deadline=deadline)
+    return buchberger(partials, max_pairs=max_pairs, deadline=deadline,
+                      stats=stats)
 
 
 def is_nonsingular(f: Polynomial, ctx: RingContext, max_pairs: int = 10**6) -> bool:
@@ -83,22 +85,26 @@ def graded_quotient(
     ctx: RingContext,
     max_pairs: int = 10**6,
     deadline: float | None = None,
+    stats: Stats | None = None,
 ) -> GradedQuotientData:
     """Hilbert data of S/J_f and the dimensions of the pieces R^k.
 
     R^k is the image of the weight-k*nu polynomials in S/J_f; with J_f
     homogeneous that image is the whole weight-k*nu graded piece, so its
     dimension reads off the Hilbert function.  deadline bounds the
-    Groebner basis and every later normal form of the quotient.
+    Groebner basis and every later normal form of the quotient.  stats
+    takes the Buchberger counters and standard_monomials.
     """
     weight = weight_of_or_none(f)
     if weight is None or weight != ctx.nu:
         raise ValueError("f must be homogeneous of weight nu")
-    gb = jacobian_gb(f, max_pairs=max_pairs, deadline=deadline)
+    gb = jacobian_gb(f, max_pairs=max_pairs, deadline=deadline, stats=stats)
     if gb is None or not is_zero_dimensional(gb):
         raise SingularInputError("singular hypersurface")
     quotient = Quotient(gb, deadline)
     std = quotient.standard
+    if stats is not None:
+        stats.count("standard_monomials", len(std))
     socle = ctx.socle_weight
     hilbert = [0] * (socle + 1)
     for mono in std:

@@ -23,6 +23,7 @@ from jmoduli import (
 )
 from jmoduli.groebner import (
     Quotient,
+    _divide,
     _divides,
     _integral,
     _lcm,
@@ -321,9 +322,9 @@ def test_cached_leads_leave_equality_and_hash_alone():
     gens = polys("x0^2 - x1", "x1^2 - 1", nvars=2)
     warm = buchberger(gens)
     normal_form(parse_polynomial("x0^3*x1", 2), warm)
-    assert "leads" in vars(warm)
+    assert "generators" in vars(warm)
     fresh = buchberger(gens)
-    assert "leads" not in vars(fresh)
+    assert "generators" not in vars(fresh)
     assert warm == fresh
     assert hash(warm) == hash(fresh)
 
@@ -529,11 +530,12 @@ def drive_stats(gens):
 
 @pytest.mark.parametrize("name, want", [
     ("fermat_cubic", {"pairs": 3, "skipped_criteria": 3, "skipped_hilbert": 0,
-                      "zero_reductions": 0, "basis_len": 3}),
+                      "zero_reductions": 0, "basis_len": 3,
+                      "divisor_memo": 0}),
     # plain Buchberger divides 47 of these pairs, each to zero
     ("dense_quartic", {"pairs": 406, "skipped_criteria": 334,
                        "skipped_hilbert": 47, "zero_reductions": 0,
-                       "basis_len": 29}),
+                       "basis_len": 29, "divisor_memo": 142}),
 ])
 def test_buchberger_counters(name, want):
     from jmoduli import jacobian_ideal
@@ -543,6 +545,68 @@ def test_buchberger_counters(name, want):
     gb, counters = drive_stats(jacobian_ideal(f))
     assert counters == want
     assert len(gb) == counters["basis_len"]
+
+
+@pytest.mark.parametrize("name, want", [("fermat_cubic", 8),
+                                        ("dense_quartic", 81)])
+def test_graded_quotient_counts_standard_monomials(name, want):
+    from jmoduli import RingContext, graded_quotient
+    from jmoduli.stats import Stats
+
+    f = parse_polynomial({"fermat_cubic": "x0^3 + x1^3 + x2^3",
+                          **WEIGHT_TABLE_FORMS}[name])
+    stats = Stats()
+    data = graded_quotient(f, RingContext(f.nvars, f.nvars), stats=stats)
+    assert stats.counters["standard_monomials"] == want
+    assert len(data.standard_basis) == want
+    assert stats.counters["basis_len"] == len(data.gb)
+
+
+def test_divisor_memo_rescans_only_the_leads_appended_since_a_miss():
+    reducers, lms, memo = [{(2, 0): 1, (0, 1): -1}], [(2, 0)], {}
+    # x1^3 has no divisor among the first lead, x0^2 -> x1
+    remainder, _ = _divide({(0, 3): 1, (2, 0): 1}, reducers, lms, memo)
+    assert remainder == {(0, 3): 1, (0, 1): 1}
+    assert memo == {(0, 3): ~1, (2, 0): 0, (0, 1): ~1}
+    # an appended lead x1^2 divides it: the miss was not final
+    reducers.append({(0, 2): 1, (0, 0): -1})
+    lms.append((0, 2))
+    remainder, _ = _divide({(0, 3): 1}, reducers, lms, memo)
+    assert remainder == {(0, 1): 1}
+    assert memo == {(0, 3): 1, (2, 0): 0, (0, 1): ~2}
+
+
+def test_buchberger_finds_divisors_among_leads_appended_later():
+    # terms with no divisor among the early leads gain one from a lead
+    # appended later; a memo that kept the miss would leave them in the
+    # remainders and examine 21 pairs
+    gens = polys("x0*x1 - x2^2", "x0^2 - x1", "x1^3 - x2", nvars=3)
+    gb, counters = drive_stats(gens)
+    assert counters == {"pairs": 15, "skipped_criteria": 7,
+                        "skipped_hilbert": 0, "zero_reductions": 5,
+                        "basis_len": 6, "divisor_memo": 12}
+    assert list(gb.generators) == fraction_buchberger(gens)
+
+
+def assert_reduced(gb):
+    """Monic generators, ascending by lead, whose other terms no lead
+    divides."""
+    assert list(gb.leads) == sorted(gb.leads, key=degrevlex_key)
+    for g, lm in zip(gb.generators, gb.leads):
+        assert g.leading_monomial() == lm and g.terms[lm] == 1
+        assert not any(_divides(h, m) for m in g.terms if m != lm
+                       for h in gb.leads)
+
+
+def test_generators_are_the_tail_reduced_minimal_basis():
+    from jmoduli import jacobian_ideal
+
+    f = parse_polynomial(WEIGHT_TABLE_FORMS["dense_quartic"])
+    gb = buchberger(jacobian_ideal(f))
+    assert len(gb) == 29 and "generators" not in vars(gb)
+    assert_reduced(gb)
+    # the tail reduction keeps the leads and changes the other terms
+    assert any(g != h for g, h in zip(gb.minimal, gb.integer_generators))
 
 
 def test_stats_are_optional_and_change_nothing():

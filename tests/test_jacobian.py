@@ -1,6 +1,7 @@
 """Milnor algebras of forms and their deformation closures."""
 
 import pytest
+from test_groebner import assert_reduced
 
 from jmoduli import (
     RingContext,
@@ -182,6 +183,65 @@ def test_deformed_quotient_mu_jumps_for_higher_weight():
     assert is_zero_dimensional(gb)
     data = deformed_subalgebra(CUBIC, g, CTX3)
     assert data.dim >= sum(graded_quotient(CUBIC, CTX3).r_dims)
+
+
+# -- the reduced generators are made only where they are read ----------------
+
+
+@pytest.fixture
+def made_bases(monkeypatch):
+    """Every basis jacobian_gb makes, in order."""
+    import jmoduli.jacobian as jacobian_module
+
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append(buchberger(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(jacobian_module, "buchberger", recording)
+    return made
+
+
+def reduced(gb):
+    """Whether the tail reduction ran; if so, it gave a reduced basis."""
+    if "generators" not in vars(gb):
+        return False
+    assert_reduced(gb)
+    return True
+
+
+def test_leads_alone_serve_the_graded_quotient_and_nonsingularity(made_bases):
+    data = graded_quotient(QUARTIC, CTX4)
+    assert is_nonsingular(CUBIC, CTX3)
+    assert len(made_bases) == 2 and data.gb is made_bases[0]
+    assert not any(map(reduced, made_bases))
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["check", "x0^3 + x1^3 + x2^3 + x0*x1*x2"], [False]),
+    (["moduli", "x0^4 + x1^4 + x2^4 + x3^4 + 2*x0^2*x1*x2"], [False]),
+    (["dgla", "x0^3 + x1^3 + x2^3", "--degree", "1", "--weight", "0"],
+     [False]),
+    # the graded quotient of f, then the closure of f + g, whose minimal
+    # basis is not reduced
+    (["deform", "x0^3 + x1^3 + x2^3", "x0^3*x1^3*x2^3"], [False, True]),
+])
+def test_commands_reduce_only_the_bases_they_divide_by(made_bases, capsys,
+                                                      argv, want):
+    from jmoduli.cli import main
+
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert [reduced(gb) for gb in made_bases] == want
+
+
+def test_normal_form_reads_the_reduced_generators():
+    gb = jacobian_gb(CUBIC + parse_polynomial("x0^2*x1^2*x2^2", 3))
+    assert not reduced(gb)
+    normal_form(parse_polynomial("x0^5*x1", 3), gb)
+    assert reduced(gb)
+    assert list(gb.minimal) != list(gb.integer_generators)
 
 
 # -- invariant oracles: the complete-intersection series ---------------------

@@ -1,6 +1,6 @@
 """What the CI check of the ledger layout (bench/ledger.py --check) does
-not cover: the deform counters of the cases, and that check() finds a
-broken file."""
+not cover: the counters of the cases, and that check() finds a broken
+file."""
 
 import copy
 import importlib.util
@@ -23,9 +23,14 @@ def test_committed_ledger_cases_carry_the_deform_counters():
     assert paths
     for path in paths:
         doc = json.loads(path.read_text())
-        for case in doc["cases"].values():
-            assert {"closure_products", "closure_distinct", "table_products",
-                    "table_distinct"} <= set(case["counters"])
+        for name, case in doc["cases"].items():
+            if name.startswith("deform_"):
+                assert {"closure_products", "closure_distinct",
+                        "table_products", "table_distinct"} <= set(
+                            case["counters"])
+            if name.startswith("moduli_"):
+                assert {"pairs", "basis_len", "divisor_memo",
+                        "standard_monomials"} <= set(case["counters"])
 
 
 def test_check_reports_a_broken_layout():
