@@ -22,6 +22,7 @@ a fixed input is deterministic apart from the timing_ms field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -47,8 +48,10 @@ from .polys import (
     ParseError,
     Polynomial,
     RingContext,
+    monomial_factors,
     parse_polynomial,
     render_polynomial,
+    render_term,
 )
 
 EXIT_OK = 0
@@ -57,7 +60,11 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser, built once and shared by every main call:
+    parse_args returns a new Namespace each time and leaves the parser as
+    it was, so callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="jmoduli",
         description="Jacobian rings of Calabi-Yau hypersurfaces: "
@@ -186,7 +193,7 @@ def cmd_moduli(args) -> int:
         raise SingularInputError("the quotient S/J_f is zero")
     n = ctx.nvars - 1
     grading = list(graded_shape(data.r_dims))
-    bases = [[k, [render_polynomial(Polynomial.monomial(m))
+    bases = [[k, [render_term(1, monomial_factors(m))
                   for m in data.primitive_basis(k, ctx.nu)]] for k in range(n)]
     result = {
         "hilbert": list(data.hilbert),
@@ -300,8 +307,7 @@ _COMMANDS = {
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if not args.timeout_s >= 0:  # also true for nan
             raise ValueError(f"--timeout-s must be >= 0, not {args.timeout_s}")

@@ -12,7 +12,10 @@ integer polynomials {monomial: int} with positive leading coefficients:
 a step scales the dividend and the remainder by lc / gcd(coeff, lc)
 instead of dividing, and the next monomial comes off a heap.  It serves
 Buchberger and normal_form.  Buchberger's pair loop keeps one memo of
-each monomial's first divisor, as its reducers only grow.  Everything
+each monomial's first divisor, as its reducers only grow, and for each
+element the set of partners whose pair with it has been popped: the
+chain criterion (Buchberger, EUROSAM 1979) looks for a splitting lead
+only among the common partners of a pair.  Everything
 downstream of a basis reads its normal forms from one Quotient per
 basis: the staircase and a memo of monomial normal forms.
 
@@ -40,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from math import comb, gcd
-from operator import add, le
+from operator import add, le, sub
 
 from .linalg import (BudgetExceeded, _integral, _lowest, _over_lcm,
                      _primitive, check_deadline)
@@ -106,11 +109,11 @@ def _divides(d: Monomial, m: Monomial) -> bool:
 
 
 def _lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _quotient(m: Monomial, d: Monomial) -> Monomial:
-    return tuple(a - b for a, b in zip(m, d))
+    return tuple(map(sub, m, d))
 
 
 def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -360,24 +363,24 @@ def buchberger(
     for i in range(len(working)):
         for j in range(i + 1, len(working)):
             push(i, j)
-    treated: set[tuple[int, int]] = set()
+    # partners[i]: the k whose pair with i has been popped
+    partners: list[set[int]] = [set() for _ in working]
     examined = 0
     memo: dict[Monomial, int] = {}  # first divisors; working only grows
     while queue:
         _, i, j, lcm_ij = heapq.heappop(queue)
-        treated.add((i, j))
+        partners[i].add(j)
+        partners[j].add(i)
         examined += 1
         if examined > max_pairs:
             raise BudgetExceeded(f"pair budget {max_pairs} exceeded")
         check_deadline(deadline, "Buchberger")
         lmi, lmj = lms[i], lms[j]
         # first criterion (coprime leading monomials) or chain criterion
-        # (a third generator splits the pair): the pair reduces to zero
+        # (a third generator, whose pairs with i and j are both popped,
+        # splits the pair): the pair reduces to zero
         if all(a == 0 or b == 0 for a, b in zip(lmi, lmj)) or any(
-            k != i and k != j and _divides(lms[k], lcm_ij)
-            and (min(i, k), max(i, k)) in treated
-            and (min(j, k), max(j, k)) in treated
-            for k in range(len(working))
+            _divides(lms[k], lcm_ij) for k in partners[i] & partners[j]
         ):
             tally["skipped_criteria"] += 1
             continue
@@ -401,6 +404,7 @@ def buchberger(
             t = len(working)
             lms.append(next(iter(remainder)))
             working.append(_primitive(remainder, lms[t]))
+            partners.append(set())
             if stair:
                 stair.add(lms[t])
             for k in range(t):

@@ -23,6 +23,7 @@ ring check.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import neg
 from typing import Iterable
 
 Monomial = tuple[int, ...]
@@ -43,7 +44,7 @@ def degrevlex_key(m: Monomial) -> tuple:
     nonzero entry of m - m' is negative.  Encoding that as an ascending
     key: higher monomial == larger tuple.
     """
-    return (sum(m),) + tuple(-e for e in reversed(m))
+    return (sum(m), *map(neg, reversed(m)))
 
 
 def _add_term(acc: dict, key, value) -> None:
@@ -417,15 +418,18 @@ def monomial_factors(mono: Monomial) -> list[str]:
     return [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(mono) if e]
 
 
+def render_term(mag: Fraction | int, factors: list[str]) -> str:
+    """Text of the term mag * factors for mag > 0: a magnitude of 1 is left
+    out unless there are no factors, so a monomial reads x0^2*x1, or 1."""
+    return "*".join(factors) or "1" if mag == 1 else "*".join([str(mag), *factors])
+
+
 def render_signed_sum(terms: Iterable[tuple[Fraction, list[str]]]) -> str:
     """Text of a sum of (coefficient, factor strings) pairs, in the order
-    given: a coefficient of magnitude 1 is left out unless the term has no
-    factors, and signs join the terms."""
+    given: each term by render_term, joined by signs."""
     parts: list[str] = []
     for coeff, factors in terms:
-        mag = abs(coeff)
-        piece = "*".join(factors if factors and mag == 1
-                         else [str(mag), *factors])
+        piece = render_term(abs(coeff), factors)
         if not parts:
             parts.append(piece if coeff > 0 else f"-{piece}")
         else:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -483,3 +484,43 @@ def test_cli_fuzz_ends_in_an_exit_code(argv):
     assert code in (0, 1, 2, 3)
     if code and not out.getvalue():  # check and dgla report a failed verdict
         assert len(err.getvalue().splitlines()) == 1
+
+
+def run_sequence(argvs):
+    """(exit code, stdout, stderr) of main over each argv in turn, with
+    timing_ms zeroed; a usage error and --version end in SystemExit."""
+    results = []
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+        results.append((code, re.sub(r'"timing_ms": \d+', '"timing_ms": 0',
+                                     out.getvalue()), err.getvalue()))
+    return results
+
+
+def test_one_parser_serves_every_call_like_a_fresh_one(monkeypatch, tmp_path):
+    from jmoduli import cli
+
+    path = tmp_path / "g.txt"
+    path.write_text("x0*x1*x2\n")
+    sequence = [
+        ["check", CUBIC], ["check", CUBIC, "--json"],
+        ["moduli", CUBIC], ["moduli", CUBIC, "--json"],
+        ["deform", CUBIC, "--g-file", str(path), "--json"],
+        ["deform", CUBIC, "x0^2*x1"], ["deform", CUBIC, "x0^2*x1", "--json"],
+        ["dgla", CUBIC, "--degree", "1", "--weight=-3"],
+        ["dgla", CUBIC, "--degree", "1", "--weight=-3", "--json"],
+        ["moduli"], ["--version"], ["check", "x0^3+x1^3", "--nvars", "3"],
+    ]
+    cached = run_sequence(sequence)
+    assert [code for code, _, _ in cached] == [
+        0, 0, 0, 0, 0, 0, 0, 0, 0, ("exit", 2), ("exit", 0), 1]
+    # the g of the --g-file call does not carry over to the next deform
+    assert '"g": "x0*x1*x2"' in cached[4][1]
+    assert "g = x0^2*x1" in cached[5][1]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert run_sequence(sequence) == cached

@@ -68,8 +68,10 @@ def _reduce(p, reducers, lms):
 
 
 def fraction_buchberger(gens):
-    """Reduced Groebner basis over monic Fraction polynomials: the same pair
-    order and criteria as buchberger, with _reduce as the division."""
+    """(reduced Groebner basis, counts) over monic Fraction polynomials: the
+    same pair order and criteria as buchberger, with _reduce as the division
+    and the chain criterion scanning every k for popped pairs (i, k) and
+    (j, k).  counts holds the pairs examined and skipped by a criterion."""
     working = [g.monic() for g in gens if not g.is_zero()]
     lms = [g.leading_monomial() for g in working]
     queue = []
@@ -82,17 +84,18 @@ def fraction_buchberger(gens):
         for j in range(i + 1, len(working)):
             push(i, j)
     treated = set()
+    counts = {"pairs": 0, "skipped_criteria": 0}
     while queue:
         _, i, j, top = heapq.heappop(queue)
         treated.add((i, j))
-        if all(a == 0 or b == 0 for a, b in zip(lms[i], lms[j])):
-            continue
-        if any(
+        counts["pairs"] += 1
+        if all(a == 0 or b == 0 for a, b in zip(lms[i], lms[j])) or any(
             k not in (i, j) and _divides(lms[k], top)
             and (min(i, k), max(i, k)) in treated
             and (min(j, k), max(j, k)) in treated
             for k in range(len(working))
         ):
+            counts["skipped_criteria"] += 1
             continue
         remainder = _reduce(spolynomial(working[i], working[j]), working, lms)
         if not remainder.is_zero():
@@ -109,7 +112,7 @@ def fraction_buchberger(gens):
         _reduce(g, minimal[:idx] + minimal[idx + 1:],
                 min_lms[:idx] + min_lms[idx + 1:]).monic()
         for idx, g in enumerate(minimal)
-    ]
+    ], counts
 
 
 def polys(*texts, nvars=None):
@@ -412,7 +415,7 @@ def random_ideals(draw):
 @given(random_ideals())
 def test_integer_kernel_matches_fraction_oracles(ideal):
     gens, probe = ideal
-    want = fraction_buchberger(gens)
+    want, _ = fraction_buchberger(gens)
     gb = buchberger(gens)
     assert list(gb.generators) == want
     assert normal_form(probe, gb) == _reduce(
@@ -585,7 +588,7 @@ def test_buchberger_finds_divisors_among_leads_appended_later():
     assert counters == {"pairs": 15, "skipped_criteria": 7,
                         "skipped_hilbert": 0, "zero_reductions": 5,
                         "basis_len": 6, "divisor_memo": 12}
-    assert list(gb.generators) == fraction_buchberger(gens)
+    assert list(gb.generators) == fraction_buchberger(gens)[0]
 
 
 def assert_reduced(gb):
@@ -646,7 +649,7 @@ def test_drive_grows_no_layer_past_the_deadline(monkeypatch):
         buchberger(gens, deadline=time.perf_counter() - 1)
     assert grown == []
     gb, counters = drive_stats(gens)
-    assert list(gb.generators) == fraction_buchberger(gens)
+    assert list(gb.generators) == fraction_buchberger(gens)[0]
     assert counters["skipped_hilbert"] == 0 and grown
 
 
@@ -661,7 +664,7 @@ def test_drive_stops_when_a_layer_outgrows_the_pairs_left(monkeypatch):
     # monomials in x0, x1, and one pair is left at degree 8
     gens = polys("x0*x2", "x1*x2", "x2^7", nvars=3)
     gb, counters = drive_stats(gens)
-    assert list(gb.generators) == fraction_buchberger(gens)
+    assert list(gb.generators) == fraction_buchberger(gens)[0]
     assert layers[-1] is None and counters["skipped_hilbert"] == 0
 
 
@@ -738,8 +741,39 @@ def homogeneous_ideals(draw):
 def test_hilbert_drive_matches_plain_buchberger(ideal):
     gens, drive_on = ideal
     gb, counters = drive_stats(gens)
-    assert list(gb.generators) == fraction_buchberger(gens)
+    assert list(gb.generators) == fraction_buchberger(gens)[0]
     if not drive_on:
         assert counters["skipped_hilbert"] == 0
     if is_zero_dimensional(gb):
         assert standard_monomials(gb) == box_scan(gb)
+
+
+@st.composite
+def criterion_ideals(draw):
+    """Three kinds of generators in 2-3 variables: nvars forms of one degree
+    plus x_i^degree (the Hilbert drive on), the same with one inhomogeneous
+    generator, and nvars + 1 forms."""
+    nvars = draw(st.integers(min_value=2, max_value=3))
+    degree = draw(st.integers(min_value=2, max_value=3))
+    kind = draw(st.sampled_from(["drive", "inhomogeneous", "too_many"]))
+    gens = [forms_of(draw, nvars, degree)
+            for _ in range(nvars + (kind == "too_many"))]
+    for i in range(nvars):
+        power = Polynomial(nvars, {tuple(degree * (j == i) for j in range(nvars)): 1})
+        if not (gens[i] + power).is_zero():
+            gens[i] = gens[i] + power
+    if kind == "inhomogeneous":
+        gens[0] = gens[0] + forms_of(draw, nvars, draw(st.sampled_from(
+            [d for d in range(degree + 2) if d != degree])))
+    return [g for g in gens if not g.is_zero()]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(criterion_ideals())
+def test_chain_criterion_over_partners_matches_the_treated_pairs(gens):
+    # the partner sets are a lookup of the same criterion: every pair
+    # examined, every pair skipped and the basis agree with the oracle
+    gb, counters = drive_stats(gens)
+    want, counts = fraction_buchberger(gens)
+    assert list(gb.generators) == want
+    assert {key: counters[key] for key in counts} == counts
