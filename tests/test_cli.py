@@ -314,6 +314,60 @@ def test_human_output_mentions_dimensions(capsys):
     assert "hilbert check: pass" in out
 
 
+NOT_TRANSVERSE = (
+    "warning: dim R~_(f+g) = 8 differs from dim R~ = 4; the deformation "
+    "direction is not transverse (g may be exact in the Jacobian ideal, or "
+    "of weight 2*nu or higher)\n")
+
+
+@pytest.mark.parametrize("argv,code,out,err", [
+    (["check", CUBIC], 0,
+     "f = x0^3 + x1^3 + x2^3  (nvars 3)\n"
+     "homogeneous:  yes  (weight 3)\n"
+     "calabi-yau:   yes\n"
+     "nonsingular:  yes\n"
+     "verdict:      pass\n", ""),
+    (["check", "x0^3 + x1^3", "--nvars", "3"], 1,
+     "f = x0^3 + x1^3  (nvars 3)\n"
+     "homogeneous:  yes  (weight 3)\n"
+     "calabi-yau:   yes\n"
+     "nonsingular:  no\n"
+     "verdict:      fail\n", ""),
+    (["moduli", CUBIC], 0,
+     "f = x0^3 + x1^3 + x2^3  (nvars 3, nu 3)\n"
+     "hilbert:      [1, 3, 3, 1]\n"
+     "r_dims:       [1, 1]\n"
+     "dim R~:       4\n"
+     "grading:      [0, 2, 1, 1]\n"
+     "R^0 basis:    1\n"
+     "R^1 basis:    x0*x1*x2\n", ""),
+    (["deform", CUBIC, "x0*x1*x2"], 0,
+     "f = x0^3 + x1^3 + x2^3  (nvars 3, nu 3)\n"
+     "g = x0*x1*x2\n"
+     "dim R~:        4\n"
+     "dim R~_(f+g):  4\n"
+     "verdict:       equal\n"
+     "basis:         [1], [x2^3], e_0, e_1\n", ""),
+    (["deform", CUBIC, "x0^6"], 0,
+     "f = x0^3 + x1^3 + x2^3  (nvars 3, nu 3)\n"
+     "g = x0^6\n"
+     "dim R~:        4\n"
+     "dim R~_(f+g):  8\n"
+     "verdict:       NOT equal\n"
+     "basis:         [1], [x0*x1*x2], [x0^2*x2], [x0^2*x1], [x0^3], "
+     "[x0^4*x1*x2], e_0, e_1\n", NOT_TRANSVERSE),
+    (["dgla", CUBIC, "--degree", "1", "--weight=-3"], 0,
+     "f = x0^3 + x1^3 + x2^3  (nvars 3, nu 3)\n"
+     "piece L^(1,-3):  dim 1\n"
+     "kernel:        1\n"
+     "image in:      0\n"
+     "H^(1,-3):       1\n"
+     "hilbert check: pass (expected 1)\n", ""),
+])
+def test_text_output_is_pinned(capsys, argv, code, out, err):
+    assert run(capsys, argv) == (code, out, err)
+
+
 def count_calls(monkeypatch, name, module=jmoduli):
     """Count calls of a jmoduli function through every module binding."""
     calls = []
