@@ -15,7 +15,6 @@ from jmoduli import (
     graded_quotient,
     jacobian_ideal,
     parse_polynomial,
-    primitive_basis,
     render_polynomial,
     standard_monomials,
 )
@@ -42,7 +41,7 @@ def tour(text, nvars):
 
     # the subalgebra generated in weight nu, listed degree by degree
     for k in range(nvars - 1):
-        basis = primitive_basis(f, ctx, k)
+        basis = data.primitive_basis(k, ctx.nu)
         shown = [render_polynomial(Polynomial.monomial(m))
                  for m in basis[:6]]
         tail = f", ... ({len(basis)} total)" if len(basis) > 6 else ""

@@ -28,20 +28,15 @@ import sys
 import time
 
 from . import __version__
-from .extended import (
-    compare_dimensions,
-    extended_from_closure,
-    graded_shape,
-    to_json_dict,
-)
+from .extended import extended_from_closure, graded_shape, to_json_dict
 from .dgla import cohomology_report
-from .groebner import BudgetExceeded, is_zero_dimensional
+from .groebner import BudgetExceeded
 from .jacobian import (
     SingularDeformationError,
     SingularInputError,
     deformed_subalgebra,
     graded_quotient,
-    jacobian_gb,
+    nonsingular_gb,
     weight_of_or_none,
 )
 from .polys import (
@@ -106,11 +101,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_f(args) -> tuple[Polynomial, RingContext]:
+def _parse(args) -> tuple[Polynomial, "int | None"]:
     f = parse_polynomial(args.f, args.nvars)
     if f.is_zero():
         raise ParseError("f must be nonzero", 0)
-    nu = weight_of_or_none(f)
+    return f, weight_of_or_none(f)
+
+
+def _parse_f(args) -> tuple[Polynomial, RingContext]:
+    f, nu = _parse(args)
     if nu is None:
         raise SingularInputError("f is not homogeneous")
     if nu == 0:
@@ -118,45 +117,44 @@ def _parse_f(args) -> tuple[Polynomial, RingContext]:
     return f, RingContext(f.nvars, nu)
 
 
-def _emit(args, report: dict, lines: list, warning: "str | None") -> None:
+def _emit(args, f: Polynomial, nu: "int | None", g: "Polynomial | None",
+          result: dict, started: float, lines: list,
+          warning: "str | None" = None) -> None:
+    """The JSON report with --json, else f (and g) and the lines."""
+    given = {
+        "f": render_polynomial(f),
+        "g": render_polynomial(g) if g is not None else None,
+        "nvars": f.nvars,
+        "nu": nu,
+    }
     if warning:
         print(f"warning: {warning}", file=sys.stderr)
     if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        for line in lines:
-            print(line)
-
-
-def _report(command: str, f: Polynomial, nu: "int | None",
-            g: "Polynomial | None", result: dict, started: float) -> dict:
-    return {
-        "command": command,
-        "input": {
-            "f": render_polynomial(f),
-            "g": render_polynomial(g) if g is not None else None,
-            "nvars": f.nvars,
-            "nu": nu,
-        },
-        "result": result,
-        "timing_ms": int(round((time.perf_counter() - started) * 1000)),
-        "version": __version__,
-    }
+        print(json.dumps({
+            "command": args.command,
+            "input": given,
+            "result": result,
+            "timing_ms": int(round((time.perf_counter() - started) * 1000)),
+            "version": __version__,
+        }, indent=2))
+        return
+    weight = "" if args.command == "check" else f", nu {nu}"
+    print(f"f = {given['f']}  (nvars {f.nvars}{weight})")
+    if g is not None:
+        print(f"g = {given['g']}")
+    for line in lines:
+        print(line)
 
 
 def cmd_check(args) -> int:
     started = time.perf_counter()
-    f = parse_polynomial(args.f, args.nvars)
-    if f.is_zero():
-        raise ParseError("f must be nonzero", 0)
-    nu = weight_of_or_none(f)
+    f, nu = _parse(args)
     homogeneous = nu is not None
     calabi_yau = homogeneous and nu == f.nvars
     nonsingular = zero_quotient = False
     if homogeneous:
-        gb = jacobian_gb(f, max_pairs=args.max_pairs,
-                         deadline=args.deadline)
-        nonsingular = gb is not None and is_zero_dimensional(gb)
+        gb = nonsingular_gb(f, args.max_pairs, args.deadline)
+        nonsingular = gb is not None
         zero_quotient = nonsingular and (0,) * f.nvars in gb.leads
     passed = homogeneous and calabi_yau and nonsingular
     why = ""
@@ -171,16 +169,14 @@ def cmd_check(args) -> int:
         "nonsingular": nonsingular,
         "pass": passed,
     }
-    report = _report("check", f, nu, None, result, started)
     lines = [
-        f"f = {render_polynomial(f)}  (nvars {f.nvars})",
         f"homogeneous:  {'yes' if homogeneous else 'no'}"
         + (f"  (weight {nu})" if homogeneous else ""),
         f"calabi-yau:   {'yes' if calabi_yau else 'no (needs weight = nvars)'}",
         f"nonsingular:  {'yes' if nonsingular else 'no'}",
         f"verdict:      {'pass' if passed else 'fail'}{why}",
     ]
-    _emit(args, report, lines, None)
+    _emit(args, f, nu, None, result, started, lines)
     return EXIT_OK if passed else EXIT_MATH
 
 
@@ -202,9 +198,7 @@ def cmd_moduli(args) -> int:
         "dim_extended": len(grading),
         "grading": grading,
     }
-    report = _report("moduli", f, ctx.nu, None, result, started)
     lines = [
-        f"f = {render_polynomial(f)}  (nvars {ctx.nvars}, nu {ctx.nu})",
         f"hilbert:      {list(data.hilbert)}",
         f"r_dims:       {list(data.r_dims)}",
         f"dim R~:       {len(grading)}",
@@ -212,7 +206,7 @@ def cmd_moduli(args) -> int:
     ]
     for k, basis in bases:
         lines.append(f"R^{k} basis:    {', '.join(basis)}")
-    _emit(args, report, lines, None)
+    _emit(args, f, ctx.nu, None, result, started, lines)
     return EXIT_OK
 
 
@@ -236,35 +230,31 @@ def cmd_deform(args) -> int:
                              deadline=args.deadline)
     data = deformed_subalgebra(f, g, ctx, max_pairs=args.max_pairs,
                                deadline=args.deadline)
-    alg = extended_from_closure(data, ctx)
-    comparison = compare_dimensions(graded, data, ctx)
-    dump = to_json_dict(alg)
+    dump = to_json_dict(extended_from_closure(data, ctx))
+    # dim R~ reads off the Hilbert data, dim R~_(f+g) off the table
+    dim, dim_deformed = len(graded_shape(graded.r_dims)), dump["dim"]
     result = {
-        "dim_extended": comparison["dim_extended"],
-        "dim_extended_deformed": comparison["dim_deformed"],
-        "equal": comparison["equal"],
+        "dim_extended": dim,
+        "dim_extended_deformed": dim_deformed,
+        "equal": dim == dim_deformed,
         "stabilized_at": data.stabilized_at,
         "basis": dump["basis"],
         "products": dump["products"],
     }
     warning = None
-    if not comparison["equal"]:
+    if not result["equal"]:
         warning = (
-            f"dim R~_(f+g) = {comparison['dim_deformed']} differs from "
-            f"dim R~ = {comparison['dim_extended']}; the deformation "
-            f"direction is not transverse (g may be exact in the Jacobian "
-            f"ideal, or of weight 2*nu or higher)")
+            f"dim R~_(f+g) = {dim_deformed} differs from dim R~ = {dim}; "
+            f"the deformation direction is not transverse (g may be exact "
+            f"in the Jacobian ideal, or of weight 2*nu or higher)")
         result["warning"] = warning
-    report = _report("deform", f, ctx.nu, g, result, started)
     lines = [
-        f"f = {render_polynomial(f)}  (nvars {ctx.nvars}, nu {ctx.nu})",
-        f"g = {render_polynomial(g)}",
-        f"dim R~:        {comparison['dim_extended']}",
-        f"dim R~_(f+g):  {comparison['dim_deformed']}",
-        f"verdict:       {'equal' if comparison['equal'] else 'NOT equal'}",
+        f"dim R~:        {dim}",
+        f"dim R~_(f+g):  {dim_deformed}",
+        f"verdict:       {'equal' if result['equal'] else 'NOT equal'}",
         f"basis:         {', '.join(dump['basis'])}",
     ]
-    _emit(args, report, lines, warning)
+    _emit(args, f, ctx.nu, g, result, started, lines, warning)
     return EXIT_OK
 
 
@@ -282,9 +272,7 @@ def cmd_dgla(args) -> int:
         crosscheck_ok = spot["h_dim"] == expected
         result["hilbert_value"] = expected
         result["crosscheck_pass"] = crosscheck_ok
-    report = _report("dgla", f, ctx.nu, None, result, started)
     lines = [
-        f"f = {render_polynomial(f)}  (nvars {ctx.nvars}, nu {ctx.nu})",
         f"piece L^({args.degree},{args.weight}):  dim {spot['dim_piece']}",
         f"kernel:        {spot['dim_ker']}",
         f"image in:      {spot['dim_im_in']}",
@@ -294,7 +282,7 @@ def cmd_dgla(args) -> int:
         lines.append(
             f"hilbert check: {'pass' if crosscheck_ok else 'FAIL'}"
             f" (expected {result['hilbert_value']})")
-    _emit(args, report, lines, None)
+    _emit(args, f, ctx.nu, None, result, started, lines)
     return EXIT_OK if crosscheck_ok else EXIT_MATH
 
 

@@ -3,16 +3,15 @@
 For homogeneous nonsingular f the underlying space is R = sum of the
 weight-k*nu graded pieces of S/J_f (k = 0..n-1); for a deformation f+g
 it is the closure subalgebra R_{f+g}.  The e-classes multiply to zero
-against everything except the unit.  Structure constants are stored
-sparsely; only the pairs i <= j are computed, and the mirrored entry
-products[j][i] is the same dict as products[i][j].  One loop fills
-both tables: each basis vector is an integer row over one denominator
-(a graded monomial m is ({m: 1}, 1)), every product is read off the
-memoized monomial normal forms of the quotient (groebner.Quotient) that
-the graded quotient or the closure built, not from a division per pair,
-and each distinct product is expanded over the basis by Span.coordinates
-once; the loop checks the command's deadline once per basis vector.
-graded_shape reads the grading of R-tilde off r_k alone.
+against everything except the unit.  _product_table builds both
+algebras; extended_from_quotient and extended_from_closure only choose
+the basis rows, labels and grading.  A basis vector is an integer row
+over one denominator (a graded monomial m is ({m: 1}, 1)).  Only the
+pairs i <= j are computed, sparsely, each read off the memoized monomial
+normal forms of the quotient (groebner.Quotient), not from a division
+per pair; each distinct product is expanded over the basis once, and
+the deadline is checked once per basis vector.  graded_shape reads the
+grading, and so the dimension, of R-tilde off r_k alone.
 """
 
 from __future__ import annotations
@@ -91,11 +90,13 @@ def structure_constants(
     return out
 
 
-def _product_table(quotient: Quotient, basis: list[tuple[dict, int]],
-                   n: int, stats: Stats | None = None) -> ProductTable:
-    """The table of R-tilde on the primitive classes r / den, given as
-    (r, den) with r an integer row over standard monomials and the unit
-    first, followed by n e-classes.
+def _product_table(
+    quotient: Quotient, basis: list[tuple[dict, int]], labels: list[Label],
+    grading: tuple[int, ...] | None, n: int, stats: Stats | None = None,
+) -> ExtendedAlgebra:
+    """R-tilde on the primitive classes r / den, given as (r, den) with r
+    an integer row over standard monomials and the unit first, with their
+    labels, followed by the n e-classes e_0..e_{n-1}.
 
     e_i * e_j = 0 and e_i * [h] = 0 except against the unit:
     1 * e_i = e_i * 1 = e_i.  A primitive product NF(pa * pb) is summed
@@ -132,7 +133,8 @@ def _product_table(quotient: Quotient, basis: list[tuple[dict, int]],
     if stats is not None:
         stats.count("table_products", len(basis) * (len(basis) + 1) // 2)
         stats.count("table_distinct", len(expansions))
-    return table
+    return ExtendedAlgebra((*labels, *map(EClass, range(n))), table,
+                           grading, 0)
 
 
 def build_extended(
@@ -168,11 +170,10 @@ def extended_from_quotient(
         raise SingularInputError("f has one variable: R~ is zero, with no unit")
     monos = [(mono, k) for k in range(n)
              for mono in data.primitive_basis(k, ctx.nu)]
-    table = _product_table(data.quotient, [({m: 1}, 1) for m, _ in monos], n)
-    labels: list[Label] = [PrimitiveClass(Polynomial.monomial(mono), k)
-                           for mono, k in monos]
-    labels += [EClass(t) for t in range(n)]
-    return ExtendedAlgebra(tuple(labels), table, graded_shape(data.r_dims), 0)
+    return _product_table(
+        data.quotient, [({m: 1}, 1) for m, _ in monos],
+        [PrimitiveClass(Polynomial.monomial(m), k) for m, k in monos],
+        graded_shape(data.r_dims), n)
 
 
 def build_extended_deformed(
@@ -195,39 +196,21 @@ def extended_from_closure(
     puts the unit first; closure guarantees that every product stays in
     its span.  stats counts table_products.
     """
-    n = ctx.nvars - 1
-    table = _product_table(data.quotient,
-                           [_integral(b.terms) for b in data.basis], n, stats)
-    labels: list[Label] = [PrimitiveClass(b, None) for b in data.basis]
-    labels += [EClass(t) for t in range(n)]
-    return ExtendedAlgebra(tuple(labels), table, None, 0)
+    return _product_table(
+        data.quotient, [_integral(b.terms) for b in data.basis],
+        [PrimitiveClass(b, None) for b in data.basis], None, ctx.nvars - 1,
+        stats)
 
 
 def verify_dimension_equality(
     f: Polynomial, g: Polynomial, ctx: RingContext, max_pairs: int = 10**6
 ) -> dict:
-    """Compare dim R-tilde with dim R-tilde_{f+g}, computed independently."""
-    return compare_dimensions(
-        graded_quotient(f, ctx, max_pairs=max_pairs),
-        deformed_subalgebra(f, g, ctx, max_pairs=max_pairs),
-        ctx,
-    )
-
-
-def compare_dimensions(
-    data: GradedQuotientData,
-    deformed: DeformedSubalgebraData,
-    ctx: RingContext,
-) -> dict:
-    """dim R-tilde against dim R-tilde_{f+g}.
-
-    The graded dimension comes from Hilbert data alone; the deformed one
-    from the closure computation.  Returns {"dim_extended",
-    "dim_deformed", "equal"}.
-    """
-    n = ctx.nvars - 1
-    dim_extended = len(graded_shape(data.r_dims))
-    dim_deformed = deformed.dim + n
+    """{"dim_extended", "dim_deformed", "equal"}: dim R-tilde from the
+    Hilbert data alone, dim R-tilde_{f+g} from the closure."""
+    dim_extended = len(graded_shape(
+        graded_quotient(f, ctx, max_pairs=max_pairs).r_dims))
+    dim_deformed = deformed_subalgebra(
+        f, g, ctx, max_pairs=max_pairs).dim + ctx.nvars - 1
     return {
         "dim_extended": dim_extended,
         "dim_deformed": dim_deformed,

@@ -47,7 +47,7 @@ from operator import add, le, sub
 
 from .linalg import (BudgetExceeded, _integral, _lowest, _over_lcm,
                      _primitive, check_deadline)
-from .polys import Monomial, Polynomial, degrevlex_key, monomials_of_weight
+from .polys import Monomial, Polynomial, degrevlex_key
 from .stats import Stats
 
 IntTerms = dict[Monomial, int]
@@ -67,13 +67,16 @@ class GroebnerBasis:
     minimal: tuple[IntTerms, ...] = field(repr=False)
     order: MonomialOrder
     nvars: int
+    deadline: float | None = field(default=None, repr=False)
 
     @cached_property
     def generators(self) -> tuple[Polynomial, ...]:
         """Monic, each minimal generator's tail reduced by the others; no
-        other lead divides its own, so the leads and their order survive."""
+        other lead divides its own, so the leads and their order survive.
+        Each checks the deadline of the run that made the basis."""
         gens, leads, out = self.minimal, self.leads, []
         for idx, lm in enumerate(leads):
+            check_deadline(self.deadline, "the tail reduction")
             tail, _ = _divide(dict(gens[idx]), gens[:idx] + gens[idx + 1:],
                               leads[:idx] + leads[idx + 1:], {})
             out.append(Polynomial(self.nvars, {
@@ -85,9 +88,6 @@ class GroebnerBasis:
         """The reduced generators with denominators cleared: primitive,
         with a positive leading coefficient."""
         return tuple(_integral(g.terms)[0] for g in self.generators)
-
-    def leading_monomials(self) -> list[Monomial]:
-        return list(self.leads)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GroebnerBasis) and (
@@ -211,14 +211,6 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
         p.nvars, {m: Fraction(c, scale) for m, c in remainder.items()})
 
 
-def weight_normal_forms(
-    gb: GroebnerBasis, weight: int
-) -> dict[Monomial, dict[Monomial, Fraction]]:
-    """The Quotient(gb) rows of every monomial of one weight."""
-    quotient = Quotient(gb)
-    return {m: quotient.nf(m) for m in monomials_of_weight(gb.nvars, weight)}
-
-
 def product_key(p: IntTerms, q: IntTerms) -> frozenset:
     """The integer polynomial p * q as the frozenset of its nonzero terms
     (monomial, c): the closure and the product tables reduce each once."""
@@ -291,12 +283,6 @@ class Quotient:
             rows[m] = _lowest(row, den * lc)
         return rows[mono]
 
-    def nf(self, mono: Monomial) -> dict[Monomial, Fraction]:
-        """NF(mono) as {standard monomial: Fraction}, a new dict: the
-        Fraction view of the memo row, for weight_normal_forms and tests."""
-        row, den = self.row(mono)
-        return {m: Fraction(c, den) for m, c in row.items()}
-
     def reduce(self, key: frozenset) -> tuple[IntTerms, int]:
         """NF(p) = r / den of a product_key p, summed from memo rows."""
         rows, row_of = self.rows, self.row
@@ -320,9 +306,10 @@ def buchberger(
 
     Zero generators are discarded; an all-zero input is an error.  The
     number of critical pairs examined is capped by max_pairs, and each
-    popped pair checks the time.perf_counter() deadline; running past
-    either raises BudgetExceeded.  Exactly nvars homogeneous generators
-    turn on the Hilbert drive (module docstring).  stats counts pairs,
+    popped pair checks the time.perf_counter() deadline, as does each
+    generator of the later tail reduction; running past either raises
+    BudgetExceeded.  Exactly nvars homogeneous generators turn on the
+    Hilbert drive (module docstring).  stats counts pairs,
     skipped_criteria, skipped_hilbert, zero_reductions, basis_len and
     divisor_memo (the monomials whose first divisor the pair loop looked
     up).
@@ -420,7 +407,7 @@ def buchberger(
         if not any(_divides(h, lm) for h in min_lms):
             minimal.append(g)
             min_lms.append(lm)
-    gb = GroebnerBasis(tuple(min_lms), tuple(minimal), order, nvars)
+    gb = GroebnerBasis(tuple(min_lms), tuple(minimal), order, nvars, deadline)
     if stats is not None:
         for key, n in dict(pairs=examined, **tally, basis_len=len(gb),
                            divisor_memo=len(memo)).items():

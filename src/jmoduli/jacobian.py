@@ -1,12 +1,12 @@
 """Jacobian ideals, graded Milnor rings, and deformed subalgebras.
 
-For homogeneous nonsingular f the quotient S/J_f is a finite-dimensional
-graded ring; its weight-k*nu pieces R^k are the building blocks of the
-extended algebra.  For an inhomogeneous deformation f+g the subalgebra
-R_{f+g} generated by the images of all weights k*nu is computed by an
-iterated-products closure.  Both carry the groebner.Quotient of their
-basis, whose memoized monomial normal forms serve the closure here and
-the product tables in extended.py.
+nonsingular_gb is the one test of nonsingularity: the basis of J_f when
+S/J_f is finite.  Then S/J_f is graded, and its weight-k*nu pieces R^k
+build the extended algebra.  For an inhomogeneous deformation f+g the
+subalgebra R_{f+g} generated by the images of all weights k*nu is
+computed by an iterated-products closure.  Both carry the Quotient of
+their basis, one object for staircase and memoized normal forms, which
+serve the closure here and the product tables in extended.py.
 """
 
 from __future__ import annotations
@@ -55,6 +55,15 @@ def jacobian_gb(
                       stats=stats)
 
 
+def nonsingular_gb(
+    f: Polynomial, max_pairs: int = 10**6, deadline: float | None = None,
+    stats: Stats | None = None,
+) -> GroebnerBasis | None:
+    """Groebner basis of J_f when it is zero-dimensional, else None."""
+    gb = jacobian_gb(f, max_pairs, deadline, stats)
+    return gb if gb is not None and is_zero_dimensional(gb) else None
+
+
 def is_nonsingular(f: Polynomial, ctx: RingContext, max_pairs: int = 10**6) -> bool:
     """True iff the affine cone of f has an isolated critical point.
 
@@ -62,8 +71,7 @@ def is_nonsingular(f: Polynomial, ctx: RingContext, max_pairs: int = 10**6) -> b
     """
     if f.nvars != ctx.nvars:
         raise ValueError("arity mismatch with context")
-    gb = jacobian_gb(f, max_pairs=max_pairs)
-    return gb is not None and is_zero_dimensional(gb)
+    return nonsingular_gb(f, max_pairs) is not None
 
 
 @dataclass(frozen=True)
@@ -95,11 +103,10 @@ def graded_quotient(
     Groebner basis and every later normal form of the quotient.  stats
     takes the Buchberger counters and standard_monomials.
     """
-    weight = weight_of_or_none(f)
-    if weight is None or weight != ctx.nu:
+    if weight_of_or_none(f) != ctx.nu:
         raise ValueError("f must be homogeneous of weight nu")
-    gb = jacobian_gb(f, max_pairs=max_pairs, deadline=deadline, stats=stats)
-    if gb is None or not is_zero_dimensional(gb):
+    gb = nonsingular_gb(f, max_pairs, deadline, stats)
+    if gb is None:
         raise SingularInputError("singular hypersurface")
     quotient = Quotient(gb, deadline)
     std = quotient.standard
@@ -124,16 +131,6 @@ def graded_quotient(
         w = k * ctx.nu
         r_dims.append(hilbert[w] if w <= socle else 0)
     return GradedQuotientData(gb, std, tuple(hilbert), tuple(r_dims), quotient)
-
-
-def primitive_basis(
-    f: Polynomial, ctx: RingContext, k: int, max_pairs: int = 10**6
-) -> list[Monomial]:
-    """Standard monomials of weight k*nu: a basis of R^k."""
-    if not 0 <= k <= ctx.nvars - 2:
-        raise ValueError(f"k={k} out of range 0..{ctx.nvars - 2}")
-    data = graded_quotient(f, ctx, max_pairs=max_pairs)
-    return data.primitive_basis(k, ctx.nu)
 
 
 def weight_of_or_none(p: Polynomial) -> int | None:
@@ -198,8 +195,8 @@ def deformed_subalgebra(
                 f"deformation term of weight {sum(mono)} not divisible by nu={ctx.nu}"
             )
     total = f + g
-    gb = None if total.is_zero() else jacobian_gb(total, max_pairs, deadline)
-    if gb is None or not is_zero_dimensional(gb):
+    gb = None if total.is_zero() else nonsingular_gb(total, max_pairs, deadline)
+    if gb is None:
         raise SingularDeformationError("deformation is singular")
     quotient = Quotient(gb, deadline)
     nstd = len(quotient.standard)

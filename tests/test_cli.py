@@ -383,6 +383,25 @@ def count_calls(monkeypatch, name, module=jmoduli):
     return calls
 
 
+@pytest.mark.parametrize("argv,renders", [
+    (["check", CUBIC], 1),
+    (["moduli", CUBIC], 1),
+    (["dgla", CUBIC, "--degree", "1", "--weight=-3"], 1),
+    (["deform", CUBIC, "x0*x1*x2"], 2),  # f and g
+])
+def test_each_command_renders_f_and_g_once(monkeypatch, capsys, argv,
+                                           renders):
+    import jmoduli.extended as extended
+
+    # the deform basis labels render through extended; only f and g count
+    labels = extended.render_polynomial
+    calls = count_calls(monkeypatch, "render_polynomial")
+    monkeypatch.setattr(extended, "render_polynomial", labels)
+    for flags in ([], ["--json"]):
+        assert run(capsys, argv + flags)[0] == 0
+    assert len(calls) == 2 * renders
+
+
 @pytest.mark.parametrize("argv,groebner_bases,closures", [
     (["check", QUARTIC], 1, 0),
     (["moduli", QUARTIC], 1, 0),

@@ -295,7 +295,8 @@ def test_passed_deadline_stops_the_closure(monkeypatch):
     # the closure gets it
     real_gb = jacobian.jacobian_gb
     monkeypatch.setattr(jacobian, "jacobian_gb",
-                        lambda f, max_pairs, deadline: real_gb(f, max_pairs))
+                        lambda f, max_pairs, deadline, stats:
+                        real_gb(f, max_pairs))
     real_std = groebner.standard_monomials
     monkeypatch.setattr(groebner, "standard_monomials",
                         lambda gb, deadline: real_std(gb))

@@ -148,7 +148,7 @@ def test_buchberger_hand_example():
 def test_buchberger_generators_monic_and_sorted():
     gens = polys("2*x1 - x0", "4*x0^2 - 8", nvars=2)
     gb = buchberger(gens)
-    lms = gb.leading_monomials()
+    lms = gb.leads
     assert all(g.leading_coefficient() == 1 for g in gb)
     from jmoduli import degrevlex_key
 
@@ -163,7 +163,7 @@ def test_buchberger_reduced_basis_unique():
     gb2 = buchberger(list(reversed(gens)))
     assert list(gb1) == list(gb2)
     # no leading monomial divides another, no tail term is divisible
-    lms = gb1.leading_monomials()
+    lms = gb1.leads
     for i, m in enumerate(lms):
         for j, d in enumerate(lms):
             if i != j:
@@ -191,6 +191,28 @@ def test_buchberger_deadline():
     with pytest.raises(BudgetExceeded):
         buchberger(gens, deadline=time.perf_counter())
     assert buchberger(gens, deadline=time.perf_counter() + 60) == buchberger(gens)
+
+
+def test_tail_reduction_checks_the_deadline_once_per_generator(monkeypatch):
+    import dataclasses
+
+    import jmoduli.groebner as groebner
+
+    gens = polys("x0*x1 - x2^2", "x0^2 - x1", "x1^3 - x2", nvars=3)
+    gb = buchberger(gens, deadline=time.perf_counter() + 60)
+    # the pair loop ended in time; the deadline passes before the first read
+    late = dataclasses.replace(gb, deadline=time.perf_counter() - 1)
+    with pytest.raises(BudgetExceeded, match="in the tail reduction$"):
+        late.generators
+    checks = []
+    real = groebner.check_deadline
+    monkeypatch.setattr(groebner, "check_deadline", lambda deadline, stage:
+                        checks.append(stage) or real(deadline, stage))
+    # a basis without a deadline reads as before
+    plain = buchberger(gens)
+    assert plain.deadline is None
+    assert plain.generators == gb.generators == tuple(fraction_buchberger(gens)[0])
+    assert checks.count("the tail reduction") == 2 * len(gb)
 
 
 def test_buchberger_budget():
@@ -361,7 +383,10 @@ def test_weight_table_matches_normal_form(name):
     from jmoduli import (
         RingContext, deformed_subalgebra, graded_quotient, monomials_of_weight)
     from jmoduli.extended import extended_from_closure
-    from jmoduli.groebner import weight_normal_forms
+
+    def fraction_row(quotient, mono):
+        row, den = quotient.row(mono)
+        return {m: Fraction(c, den) for m, c in row.items()}
 
     if name in PENCIL_DIRECTIONS:
         f_text, g_text = PENCIL_DIRECTIONS[name]
@@ -374,18 +399,16 @@ def test_weight_table_matches_normal_form(name):
         # every memo row, through its Fraction view
         for mono in quotient.rows:
             want = normal_form(Polynomial.monomial(mono), data.gb).terms
-            assert quotient.nf(mono) == want
+            assert fraction_row(quotient, mono) == want
         return
     f = parse_polynomial(WEIGHT_TABLE_FORMS[name])
     ctx = RingContext(f.nvars, f.nvars)
     gb = graded_quotient(f, ctx).gb
+    quotient = Quotient(gb)
     for k in range(f.nvars - 1):
-        monos = monomials_of_weight(f.nvars, k * ctx.nu)
-        table = weight_normal_forms(gb, k * ctx.nu)
-        assert list(table) == monos
-        for mono in monos:
+        for mono in monomials_of_weight(f.nvars, k * ctx.nu):
             want = normal_form(Polynomial.monomial(mono), gb).terms
-            assert table[mono] == want
+            assert fraction_row(quotient, mono) == want
 
 
 # -- the integer kernel against the Fraction oracles --------------------------
@@ -688,7 +711,7 @@ def test_drive_stays_off_for_fewer_than_nvars_generators(monkeypatch):
     # three forms in four variables whose bound would let layers grow
     for gens in (polys("x0^10*x1^9", "x0^11*x1^8", nvars=8),
                  polys("x0*x1", "x0*x2", "x0*x3", nvars=4)):
-        assert set(buchberger(gens).leading_monomials()) == {
+        assert set(buchberger(gens).leads) == {
             g.leading_monomial() for g in gens}
 
 

@@ -16,7 +16,6 @@ from jmoduli import (
     is_zero_dimensional,
     normal_form,
     parse_polynomial,
-    primitive_basis,
     render_polynomial,
     weight_of_or_none,
 )
@@ -91,12 +90,6 @@ def test_milnor_duality_cubic_quartic():
         assert h == tuple(reversed(h))
 
 
-def test_primitive_basis_range_check():
-    assert primitive_basis(CUBIC, CTX3, 1) == [(1, 1, 1)]
-    with pytest.raises(ValueError):
-        primitive_basis(CUBIC, CTX3, 2)
-    with pytest.raises(ValueError):
-        primitive_basis(CUBIC, CTX3, -1)
 
 
 def test_weight_of_or_none():
