@@ -230,16 +230,18 @@ def cmd_deform(args) -> int:
                              deadline=args.deadline)
     data = deformed_subalgebra(f, g, ctx, max_pairs=args.max_pairs,
                                deadline=args.deadline)
-    dump = to_json_dict(extended_from_closure(data, ctx))
+    algebra = extended_from_closure(data, ctx)
+    dump = to_json_dict(algebra) if args.json else {  # the text has no products
+        "basis": [str(label) for label in algebra.basis_labels]}
     # dim R~ reads off the Hilbert data, dim R~_(f+g) off the table
-    dim, dim_deformed = len(graded_shape(graded.r_dims)), dump["dim"]
+    dim, dim_deformed = len(graded_shape(graded.r_dims)), algebra.dim
     result = {
         "dim_extended": dim,
         "dim_extended_deformed": dim_deformed,
         "equal": dim == dim_deformed,
         "stabilized_at": data.stabilized_at,
         "basis": dump["basis"],
-        "products": dump["products"],
+        "products": dump.get("products"),
     }
     warning = None
     if not result["equal"]:

@@ -62,7 +62,7 @@ from math import comb
 from operator import add
 
 from .jacobian import weight_of_or_none
-from .linalg import _integral, check_deadline, rank_of
+from .linalg import _echelon, _integral, check_deadline
 from .polys import (
     Monomial,
     Polynomial,
@@ -736,20 +736,19 @@ def graded_piece(f: Polynomial, degree: int, weight: int,
 def _boundary_rank(row, src: GradedPiece, dst: GradedPiece,
                    deadline: float | None) -> int:
     """Rank of the integer rows row(key) for the basis keys of src, in the
-    coordinates of dst.  Each row is built as the elimination takes it, so
-    the elimination's deadline check, once per row, covers both."""
+    coordinates of dst: fresh rows without zeros, each built as _echelon
+    takes it, so its deadline check, once per row, covers both."""
     index = {key: col for col, b in enumerate(dst.basis) for key in b.terms}
 
     def rows():
         for (key,) in (b.terms for b in src.basis):
             try:
-                vec = {index[k]: c for k, c in row(key).items()}
+                yield {index[k]: c for k, c in row(key).items()}
             except KeyError as exc:
                 raise RuntimeError(
                     f"differential left the enumerated piece at {exc}") from exc
-            yield vec
 
-    return rank_of(rows(), len(index), deadline)
+    return len(_echelon(rows(), deadline))
 
 
 def cohomology_report(f: Polynomial, degree: int, weight: int,

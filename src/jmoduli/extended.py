@@ -100,7 +100,7 @@ def _product_table(
 
     e_i * e_j = 0 and e_i * [h] = 0 except against the unit:
     1 * e_i = e_i * 1 = e_i.  A primitive product NF(pa * pb) is summed
-    from the quotient's memo rows and expanded over the basis by exact
+    from the quotient's index rows and expanded over the basis by exact
     elimination, once per product_key and da * db; a zero one is {}, and
     each pair gets its own copy.  A linearly dependent basis, or a
     product outside its span, is an internal error.  stats counts
@@ -108,7 +108,7 @@ def _product_table(
     """
     span = Span(len(quotient.standard), track_original=True)
     for row, _ in basis:
-        if not span.add(quotient.coordinates(row)):
+        if not span.add({quotient.index[m]: c for m, c in row.items()}):
             raise RuntimeError("stored basis is linearly dependent")
     dim = len(basis) + n
     table: ProductTable = [[{} for _ in range(dim)] for _ in range(dim)]
@@ -123,8 +123,7 @@ def _product_table(
             expansion = expansions.get(key)
             if expansion is None:
                 nf, den = quotient.reduce(key[0])
-                expansion = nf and span.coordinates(quotient.coordinates(nf),
-                                                    den * key[1])
+                expansion = nf and span.coordinates(nf, den * key[1])
                 if expansion is None:
                     raise RuntimeError("product left the span of the basis; "
                                        "inconsistent quotient")

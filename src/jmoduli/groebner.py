@@ -45,7 +45,7 @@ from functools import cache, cached_property
 from math import comb, gcd
 from operator import add, le, sub
 
-from .linalg import (BudgetExceeded, _integral, _lowest, _over_lcm,
+from .linalg import (BudgetExceeded, Row, _integral, _lowest, _over_lcm,
                      _primitive, check_deadline)
 from .polys import Monomial, Polynomial, degrevlex_key
 from .stats import Stats
@@ -223,37 +223,38 @@ def product_key(p: IntTerms, q: IntTerms) -> frozenset:
 
 
 class Quotient:
-    """S/I for one reduced basis gb: the staircase, the index of each
-    standard monomial, and a memo of monomial normal forms.
+    """S/I for one reduced zero-dimensional basis gb: the staircase, the
+    index of each standard monomial, and a memo of monomial normal forms
+    keyed, like every row it returns, by that index.
 
     The memo is the monomial table of FGLM (Faugere, Gianni, Lazard and
-    Mora, JSC 16, 1993), fraction-free: rows[m] = (r, den) in lowest
-    terms, NF(m) = r / den.  A standard monomial is its own row; any other
-    m takes the first integer generator lc * lm + sum c * t whose lm
-    divides it, and NF(m) = -sum c * NF(t * shift) / lc, over one common
-    denominator.  Each t * shift is below m in degrevlex, so the walk
-    ends.  Each memo miss and each staircase layer checks the
-    time.perf_counter() deadline.
+    Mora, JSC 16, 1993), fraction-free: rows[m] = (r, den) in lowest terms,
+    NF(m) = r / den.  A standard m is the row ({index[m]: 1}, 1); any other
+    m takes the first integer generator lc * lm + sum c * t whose lm divides
+    it, and NF(m) = -sum c * NF(t * shift) / lc, over one common
+    denominator.  Each t * shift is below m in degrevlex, so the walk ends.
+    Each memo miss and each staircase layer checks the time.perf_counter()
+    deadline.  Any other basis raises ValueError at the first row.
     """
 
     def __init__(self, gb: GroebnerBasis, deadline: float | None = None) -> None:
         self.gb = gb
         self.deadline = deadline
-        self.rows: dict[Monomial, tuple[IntTerms, int]] = {}
+        self.rows: dict[Monomial, tuple[Row, int]] = {}
 
     @cached_property
     def standard(self) -> tuple[Monomial, ...]:
-        """The standard monomials, ascending degrevlex (finite quotients)."""
+        """The standard monomials, ascending degrevlex."""
         return tuple(standard_monomials(self.gb, self.deadline))
 
     @cached_property
     def index(self) -> dict[Monomial, int]:
         return {m: i for i, m in enumerate(self.standard)}
 
-    def row(self, mono: Monomial) -> tuple[IntTerms, int]:
+    def row(self, mono: Monomial) -> tuple[Row, int]:
         """The memo entry (r, den) of mono; shared, so callers must not
         mutate r."""
-        rows = self.rows
+        rows, index = self.rows, self.index
         if mono in rows:
             return rows[mono]
         # (monomial, lc, its shifted tail terms once expanded); an entry
@@ -265,12 +266,12 @@ class Quotient:
                 continue
             check_deadline(self.deadline, "normal forms")
             if tail is None:
+                if m in index:
+                    rows[m] = ({index[m]: 1}, 1)
+                    continue
                 for lm, g in zip(self.gb.leads, self.gb.integer_generators):
                     if _divides(lm, m):
                         break
-                else:
-                    rows[m] = ({m: 1}, 1)
-                    continue
                 shift, lc = _quotient(m, lm), g[lm]
                 tail = [(tuple(map(add, t, shift)), c)
                         for t, c in g.items() if t != lm]
@@ -283,16 +284,11 @@ class Quotient:
             rows[m] = _lowest(row, den * lc)
         return rows[mono]
 
-    def reduce(self, key: frozenset) -> tuple[IntTerms, int]:
+    def reduce(self, key: frozenset) -> tuple[Row, int]:
         """NF(p) = r / den of a product_key p, summed from memo rows."""
         rows, row_of = self.rows, self.row
         return _over_lcm([(c, rows[m] if m in rows else row_of(m))
                           for m, c in key])
-
-    def coordinates(self, terms: dict) -> dict:
-        """A normal form {standard monomial: c} as {index: c}."""
-        index = self.index
-        return {index[m]: c for m, c in terms.items()}
 
 
 def buchberger(

@@ -170,22 +170,23 @@ def deformed_subalgebra(
 ) -> DeformedSubalgebraData:
     """Closure computation of R_{f+g}.
 
-    Layers V_k = image of the weight-k*nu polynomials in S/J_{f+g}
-    satisfy V_{k+1} = span NF(m * v) over weight-nu monomials m and a
-    basis v of V_k, since every weight-(k+1)*nu monomial factors; NF(m * v)
-    sums the quotient's rows NF(m * s) over the terms c*s of v.  The
-    iteration stops at the first k with V_{k+1} contained in the sum of
-    the earlier layers, which forces all later layers in as well.  Layer
-    vectors stay integer rows over one denominator; the spans ignore it.
-    A layer forms each distinct polynomial v * m once (product_key): the
-    layer span already took or refused the normal form of a repeat.
+    Layers V_k = image of the weight-k*nu polynomials in S/J_{f+g} satisfy
+    V_{k+1} = span NF(m * v) over weight-nu monomials m and a basis v of
+    V_k, since every weight-(k+1)*nu monomial factors; NF(m * v) sums the
+    quotient's rows NF(m * s) over the terms c*s of v.  The iteration stops
+    at the first k with V_{k+1} contained in the sum of the earlier layers,
+    which forces all later layers in as well.  The spans take reduce's index
+    rows; layers keep integer rows on monomials.  A layer forms each
+    distinct polynomial v * m once (product_key): the layer span already
+    took or refused the normal form of a repeat.
 
     verify_extra_steps > 0 keeps iterating that many layers past
-    stabilization and raises if anything new appears (a consistency
-    check for tests).  deadline bounds the Groebner basis, as in
-    buchberger, and the closure: each normal form it reads and each
-    vector of a layer check it.  stats counts memo_rows, closure_products
-    (pairs (v, m)), closure_distinct (products formed) and closure_dim.
+    stabilization and raises if anything new appears (a consistency check
+    for tests).  deadline bounds the Groebner basis, as in buchberger, and
+    the closure: each normal form it reads and each vector of a layer check
+    it.  stats takes the Buchberger counters of J_{f+g}, memo_rows,
+    closure_products (pairs (v, m)), closure_distinct (products formed) and
+    closure_dim.
     """
     if f.nvars != ctx.nvars or (not g.is_zero() and g.nvars != ctx.nvars):
         raise ValueError("arity mismatch with context")
@@ -195,20 +196,20 @@ def deformed_subalgebra(
                 f"deformation term of weight {sum(mono)} not divisible by nu={ctx.nu}"
             )
     total = f + g
-    gb = None if total.is_zero() else nonsingular_gb(total, max_pairs, deadline)
+    gb = nonsingular_gb(total, max_pairs, deadline, stats) if total else None
     if gb is None:
         raise SingularDeformationError("deformation is singular")
     quotient = Quotient(gb, deadline)
-    nstd = len(quotient.standard)
+    std = quotient.standard
     weight_nu = [{m: 1} for m in monomials_of_weight(ctx.nvars, ctx.nu)]
-    one = quotient.row((0,) * ctx.nvars)
-    if not one[0]:
+    unit = quotient.row((0,) * ctx.nvars)
+    if not unit[0]:
         raise SingularDeformationError("the quotient S/J_(f+g) is zero")
 
-    total_span = Span(nstd)
-    total_span.add(quotient.coordinates(one[0]))
-    basis = [one]
-    layer = [one]
+    total_span = Span(len(std))
+    total_span.add(unit[0])
+    one = {std[i]: c for i, c in unit[0].items()}, unit[1]
+    basis, layer = [one], [one]
     generators: list[tuple[dict[Monomial, int], int]] = []
     products = distinct = 0
     # a layer that adds nothing ends the closure, once verify_extra_steps
@@ -217,7 +218,7 @@ def deformed_subalgebra(
     k = 0
     while layer and k <= stabilized_at + verify_extra_steps:
         k += 1
-        layer_span = Span(nstd)
+        layer_span = Span(len(std))
         next_layer: list[tuple[dict[Monomial, int], int]] = []
         formed: set[frozenset] = set()  # the products v * m of this layer
         grew = False
@@ -232,10 +233,10 @@ def deformed_subalgebra(
                 w, d = quotient.reduce(key)
                 if not w:
                     continue
-                cw = quotient.coordinates(w)
-                if layer_span.add(cw):
-                    next_layer.append(_lowest(w, d * den))
-                    if total_span.add(cw):
+                if layer_span.add(w):
+                    next_layer.append(_lowest(
+                        {std[i]: c for i, c in w.items()}, d * den))
+                    if total_span.add(w):
                         basis.append(next_layer[-1])
                         grew = True
         if k == 1:

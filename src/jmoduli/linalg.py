@@ -1,14 +1,15 @@
 """Exact linear algebra over Q on sparse {column: value} rows.
 
-One kernel, _eliminate, serves rank_of and rref (forward elimination,
-then back-substitution for rref) and the incremental Span, all three
-fraction-free (Bareiss, Math. Comp. 22, 1968): a row is scaled to
+One kernel, _eliminate, serves rank_of and rref (forward elimination in
+_echelon, then back-substitution for rref) and the incremental Span, all
+three fraction-free (Bareiss, Math. Comp. 22, 1968): a row is scaled to
 integers once, on entry, and stored primitive; rref divides by the
 pivots on output, and Span.coordinates once per entry.  Vectors go in as
-dense lists or sparse dicts of ints or Fractions; rref, Span.basis_rows
-and Span.expand return dense lists of Fractions, Span.coordinates the
-sparse form.  check_deadline, the one wall-clock check of every stage,
-lives here, the lowest module.
+dense lists or sparse dicts of ints or Fractions, checked once, at rref,
+rank_of and Span; _echelon takes fresh integer rows.  rref, basis_rows
+and expand return dense lists of Fractions, coordinates the sparse form.
+check_deadline, the one wall-clock check of every stage, lives here, the
+lowest module.
 """
 
 from __future__ import annotations
@@ -123,23 +124,25 @@ def _eliminate(vec: Row, rows: dict[int, Row], coeffs: dict | None = None) -> in
     return scale
 
 
-def _echelon(rows: Iterable[Vector], ncols: int | None,
-             deadline: float | None = None) -> tuple[dict[int, Row], int]:
-    """Forward elimination only: primitive integer rows keyed by pivot, and
-    ncols.  Each row checks the time.perf_counter() deadline."""
-    if ncols is None:
-        if isinstance(rows[0], dict):
-            raise ValueError("ncols is required when the first row is sparse")
-        ncols = len(rows[0])
+def _checked(rows: Iterable[Vector], ncols: int | None):
+    """(the rows as fresh integer rows, checked as they are taken, ncols)."""
+    if ncols is None and isinstance(rows[0], dict):
+        raise ValueError("ncols is required when the first row is sparse")
+    ncols = len(rows[0]) if ncols is None else ncols
+    return (_integer_row(vec, ncols, "ragged matrix")[0] for vec in rows), ncols
+
+
+def _echelon(rows: Iterable[Row], deadline: float | None) -> dict[int, Row]:
+    """Primitive rows by pivot from fresh {col: int} rows without zeros,
+    which it takes over; each row checks the perf_counter() deadline."""
     echelon: dict[int, Row] = {}
-    for vec in rows:
+    for v in rows:
         check_deadline(deadline, "the elimination")
-        v = _integer_row(vec, ncols, "ragged matrix")[0]
         _eliminate(v, echelon)
         if v:
             piv = min(v)
             echelon[piv] = _primitive(v, piv)
-    return echelon, ncols
+    return echelon
 
 
 def rref(
@@ -153,7 +156,8 @@ def rref(
     """
     if not rows:
         return [], 0, []
-    echelon, ncols = _echelon(rows, ncols)
+    checked, ncols = _checked(rows, ncols)
+    echelon = _echelon(checked, None)
     reduced: dict[int, Row] = {}
     for piv in sorted(echelon, reverse=True):
         _eliminate(echelon[piv], reduced)
@@ -165,10 +169,9 @@ def rref(
 
 def rank_of(rows: Iterable[Vector], ncols: int | None = None,
             deadline: float | None = None) -> int:
-    """Rank of the rows.  An iterator of rows needs ncols, and each row
-    it yields is taken, checked against the deadline and eliminated in
-    turn."""
-    return len(_echelon(rows, ncols, deadline)[0]) if rows else 0
+    """Rank of the rows.  An iterator needs ncols; each row it yields is
+    taken, checked against the deadline and eliminated in turn."""
+    return len(_echelon(_checked(rows, ncols)[0], deadline)) if rows else 0
 
 
 class Span:

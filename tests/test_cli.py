@@ -449,6 +449,19 @@ def test_moduli_builds_no_product_table(monkeypatch, capsys):
     assert quotients[0].quotient.rows == {}
 
 
+def test_deform_text_serializes_no_products(monkeypatch, capsys):
+    # the text report prints the basis labels but no structure constants
+    import jmoduli.extended as extended
+
+    dumps = count_calls(monkeypatch, "to_json_dict", extended)
+    assert main(["deform", CUBIC, "x0*x1*x2"]) == 0
+    assert "basis:         [1], [x2^3], e_0, e_1\n" in capsys.readouterr().out
+    assert dumps == []
+    code, report, _ = run_json(capsys, ["deform", CUBIC, "x0*x1*x2"])
+    assert code == 0 and report["result"]["products"]
+    assert dumps == ["to_json_dict"]
+
+
 def test_one_variable_form(capsys):
     # n = 0: R~ has no primitive class and no e-class
     code, report, err = run_json(capsys, ["moduli", "x0^3"])

@@ -26,6 +26,7 @@ from jmoduli.dgla import (
     schouten_bracket_F,
     verify_shifted_differential,
 )
+from test_golden import CASES, GOLDEN
 
 CUBIC = parse_polynomial("x0^3 + x1^3 + x2^3")
 QUARTIC = parse_polynomial("x0^4 + x1^4 + x2^4 + x3^4")
@@ -306,10 +307,57 @@ def test_passed_deadline_reaches_the_elimination(monkeypatch):
     import jmoduli.dgla as dgla
     from jmoduli import BudgetExceeded
 
-    # only the elimination in rank_of checks the deadline
+    # only the elimination in linalg._echelon checks the deadline
     monkeypatch.setattr(dgla, "check_deadline", lambda deadline, stage: None)
     with pytest.raises(BudgetExceeded, match="elimination"):
         cohomology_report(QUARTIC, 0, 4, deadline=time.perf_counter() - 1)
+
+
+DGLA_GOLDENS = sorted(name for name in CASES if name.startswith("dgla_"))
+
+
+@pytest.mark.parametrize("name", DGLA_GOLDENS)
+def test_boundary_rows_reach_the_elimination_unchecked(monkeypatch, name):
+    """_boundary_rank hands _echelon fresh rows of nonzero ints on the
+    columns of dst, and no row passes linalg._integer_row."""
+    import json
+
+    import jmoduli.dgla as dgla
+    import jmoduli.linalg as linalg
+    from jmoduli.cli import build_parser
+
+    def no_check(*args):
+        raise AssertionError("_integer_row on the boundary rows")
+
+    ncols = []  # len(dst.basis) of the boundary being ranked
+    seen, ids = [], set()  # every row received, kept alive so no id is reused
+    real_rank, real_echelon = dgla._boundary_rank, dgla._echelon
+
+    def boundary_rank(row, src, dst, deadline):
+        ncols.append(len(dst.basis))
+        return real_rank(row, src, dst, deadline)
+
+    def checked(rows):
+        for vec in rows:
+            assert type(vec) is dict and id(vec) not in ids
+            assert all(type(c) is int and c for c in vec.values())
+            assert all(0 <= col < ncols[-1] for col in vec)
+            seen.append(vec)
+            ids.add(id(vec))
+            yield vec
+
+    monkeypatch.setattr(linalg, "_integer_row", no_check)
+    monkeypatch.setattr(dgla, "_boundary_rank", boundary_rank)
+    monkeypatch.setattr(dgla, "_echelon",
+                        lambda rows, deadline: real_echelon(checked(rows),
+                                                            deadline))
+    args = build_parser().parse_args(CASES[name])
+    spot = cohomology_report(parse_polynomial(args.f), args.degree,
+                             args.weight)
+    golden = json.loads((GOLDEN / f"{name}.json").read_text())["result"]
+    assert spot == {key: golden[key] for key in spot}
+    # one row per basis key of the piece and of the piece below it
+    assert len(ncols) == 2 and len(seen) >= spot["dim_piece"]
 
 
 # ---------------------------------------------------------------------------

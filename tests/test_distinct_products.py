@@ -4,7 +4,9 @@ The oracles below are the per-pair loops that formed NF(v * m) for every
 layer vector v and weight-nu monomial m, and NF(pa * pb) with its
 expansion for every pair a <= b.  Their products are summed from the
 quotient's memo rows term by term, without groebner.product_key, so a
-wrong key cannot hide in both.
+wrong key cannot hide in both.  The memo rows are keyed by
+standard-monomial index; a vector the closure accepts goes back to
+monomials through quotient.standard.
 """
 
 import dataclasses
@@ -36,7 +38,7 @@ INPUTS.append((QUARTIC, "-x0^8"))
 
 
 def per_pair_product(quotient, p, q):
-    """NF(p * q) as (r, den), one memo row per pair of terms."""
+    """NF(p * q) as an index row (r, den), one memo row per pair of terms."""
     return _over_lcm([(c * d, quotient.row(tuple(map(add, s, t))))
                       for s, c in p.items() for t, d in q.items()])
 
@@ -44,16 +46,17 @@ def per_pair_product(quotient, p, q):
 def closure_per_pair(quotient, ctx):
     """(basis, generators_nf, stabilized_at, pairs) of the closure, every
     pair (v, m) of a layer reduced and offered to the layer span."""
-    nstd = len(quotient.standard)
+    std = quotient.standard
     weight_nu = [{m: 1} for m in monomials_of_weight(ctx.nvars, ctx.nu)]
-    one = quotient.row((0,) * ctx.nvars)
-    total_span = Span(nstd)
-    total_span.add(quotient.coordinates(one[0]))
+    unit = quotient.row((0,) * ctx.nvars)
+    total_span = Span(len(std))
+    total_span.add(unit[0])
+    one = {std[i]: c for i, c in unit[0].items()}, unit[1]
     basis, layer, generators = [one], [one], []
     stabilized_at = k = pairs = 0
     while layer and k <= stabilized_at:
         k += 1
-        layer_span = Span(nstd)
+        layer_span = Span(len(std))
         next_layer = []
         for row, den in layer:
             pairs += len(weight_nu)
@@ -61,10 +64,10 @@ def closure_per_pair(quotient, ctx):
                 w, d = per_pair_product(quotient, row, m)
                 if not w:
                     continue
-                cw = quotient.coordinates(w)
-                if layer_span.add(cw):
-                    next_layer.append(_lowest(w, d * den))
-                    if total_span.add(cw):
+                if layer_span.add(w):
+                    v = {std[i]: c for i, c in w.items()}
+                    next_layer.append(_lowest(v, d * den))
+                    if total_span.add(w):
                         basis.append(next_layer[-1])
                         stabilized_at = k
         if k == 1:
@@ -82,9 +85,10 @@ def closure_per_pair(quotient, ctx):
 
 def table_per_pair(quotient, basis, n):
     """The product table of R~ with every pair a <= b reduced and expanded."""
-    span = Span(len(quotient.standard), track_original=True)
+    index = quotient.index
+    span = Span(len(index), track_original=True)
     for row, _ in basis:
-        assert span.add(quotient.coordinates(row))
+        assert span.add({index[m]: c for m, c in row.items()})
     dim = len(basis) + n
     table = [[{} for _ in range(dim)] for _ in range(dim)]
     for e in range(len(basis), dim):
@@ -93,8 +97,7 @@ def table_per_pair(quotient, basis, n):
         for a in range(b + 1):
             pa, da = basis[a]
             nf, den = per_pair_product(quotient, pa, pb)
-            table[a][b] = table[b][a] = span.coordinates(
-                quotient.coordinates(nf), den * da * db)
+            table[a][b] = table[b][a] = span.coordinates(nf, den * da * db)
     return table
 
 

@@ -256,12 +256,18 @@ def test_deformed_products_match_ordered_pair_normal_forms(f_text, g_text):
             assert alg.products[a][b] == want
 
 
+# the Buchberger counters are those of J_(f+g): f + g is homogeneous in
+# the first case, so the Hilbert drive runs, and not in the second
 @pytest.mark.parametrize("f_text,g_text,counters", [
     ("x0^3 + x1^3 + x2^3", "x0*x1*x2",
-     {"memo_rows": 21, "closure_products": 20, "closure_distinct": 20,
+     {"pairs": 15, "skipped_criteria": 7, "skipped_hilbert": 4,
+      "zero_reductions": 1, "basis_len": 6, "divisor_memo": 6,
+      "memo_rows": 21, "closure_products": 20, "closure_distinct": 20,
       "closure_dim": 2, "table_products": 3, "table_distinct": 3}),
     ("x0^4 + x1^4 + x2^4 + x3^4", "x0^8",
-     {"memo_rows": 413, "closure_products": 2730, "closure_distinct": 698,
+     {"pairs": 6, "skipped_criteria": 6, "skipped_hilbert": 0,
+      "zero_reductions": 0, "basis_len": 4, "divisor_memo": 0,
+      "memo_rows": 413, "closure_products": 2730, "closure_distinct": 698,
       "closure_dim": 48, "table_products": 1176, "table_distinct": 375}),
 ])
 def test_deform_stage_counters(f_text, g_text, counters):

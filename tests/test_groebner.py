@@ -386,7 +386,8 @@ def test_weight_table_matches_normal_form(name):
 
     def fraction_row(quotient, mono):
         row, den = quotient.row(mono)
-        return {m: Fraction(c, den) for m, c in row.items()}
+        std = quotient.standard
+        return {std[i]: Fraction(c, den) for i, c in row.items()}
 
     if name in PENCIL_DIRECTIONS:
         f_text, g_text = PENCIL_DIRECTIONS[name]
@@ -443,14 +444,25 @@ def test_integer_kernel_matches_fraction_oracles(ideal):
     assert list(gb.generators) == want
     assert normal_form(probe, gb) == _reduce(
         probe, want, [g.leading_monomial() for g in want])
-    # the memo walks any ideal, zero-dimensional or not; the product is
-    # an integer row over one denominator
-    one = {(0,) * gb.nvars: 1}
+    # the memo serves zero-dimensional ideals; adding x_i^4 for every i
+    # makes any ideal zero-dimensional, so every draw compares a memo row
+    one = (0,) * gb.nvars
+    if not is_zero_dimensional(gb):
+        with pytest.raises(ValueError, match="infinite quotient"):
+            Quotient(gb).row(one)
+    powers = [Polynomial.monomial(tuple(4 * (j == i) for j in range(gb.nvars)))
+              for i in range(gb.nvars)]
     work, den = _integral(probe.terms)
-    row, row_den = Quotient(gb).reduce(product_key(work, one))
-    assert all(type(c) is int for c in row.values())
-    assert {m: Fraction(c, den * row_den) for m, c in row.items()} == \
-        normal_form(probe, gb).terms
+    for basis in (gb, buchberger(gens + powers)):
+        if not is_zero_dimensional(basis):
+            continue
+        # the product is an integer row over one denominator, keyed by
+        # standard-monomial index
+        quotient = Quotient(basis)
+        row, row_den = quotient.reduce(product_key(work, {one: 1}))
+        assert all(type(c) is int for c in row.values())
+        assert {quotient.standard[i]: Fraction(c, den * row_den)
+                for i, c in row.items()} == normal_form(probe, basis).terms
 
 
 def box_scan(gb):
