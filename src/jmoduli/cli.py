@@ -117,6 +117,18 @@ def _parse_f(args) -> tuple[Polynomial, RingContext]:
     return f, RingContext(f.nvars, nu)
 
 
+def _dumps(report: dict) -> str:
+    """json.dumps(report, indent=2), with a deform report's products from a
+    per-triple template, as CPython's indent encoder runs in Python."""
+    result = report["result"]
+    if not result.get("products"):
+        return json.dumps(report, indent=2)
+    text = json.dumps({**report, "result": {**result, "products": []}}, indent=2)
+    body = ",\n".join(f'      [\n        {i},\n        {j},\n        {x},\n'
+                      f'        "{c}"\n      ]' for i, j, x, c in result["products"])
+    return text.replace('"products": []', f'"products": [\n{body}\n    ]', 1)
+
+
 def _emit(args, f: Polynomial, nu: "int | None", g: "Polynomial | None",
           result: dict, started: float, lines: list,
           warning: "str | None" = None) -> None:
@@ -130,13 +142,13 @@ def _emit(args, f: Polynomial, nu: "int | None", g: "Polynomial | None",
     if warning:
         print(f"warning: {warning}", file=sys.stderr)
     if args.json:
-        print(json.dumps({
+        print(_dumps({
             "command": args.command,
             "input": given,
             "result": result,
             "timing_ms": int(round((time.perf_counter() - started) * 1000)),
             "version": __version__,
-        }, indent=2))
+        }))
         return
     weight = "" if args.command == "check" else f", nu {nu}"
     print(f"f = {given['f']}  (nvars {f.nvars}{weight})")

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groebner import Quotient, check_deadline, product_key
+from .groebner import Quotient, check_deadline
 from .jacobian import (
     DeformedSubalgebraData,
     GradedQuotientData,
@@ -101,25 +101,25 @@ def _product_table(
     e_i * e_j = 0 and e_i * [h] = 0 except against the unit:
     1 * e_i = e_i * 1 = e_i.  A primitive product NF(pa * pb) is summed
     from the quotient's index rows and expanded over the basis by exact
-    elimination, once per product_key and da * db; a zero one is {}, and
-    each pair gets its own copy.  A linearly dependent basis, or a
+    elimination, once per Quotient.product key and da * db; a zero one is
+    {}, and each pair gets its own copy.  A linearly dependent basis, or a
     product outside its span, is an internal error.  stats counts
     table_products (pairs) and table_distinct (products reduced).
     """
     span = Span(len(quotient.standard), track_original=True)
-    for row, _ in basis:
-        if not span.add({quotient.index[m]: c for m, c in row.items()}):
-            raise RuntimeError("stored basis is linearly dependent")
+    rows = [{quotient.index[m]: c for m, c in row.items()} for row, _ in basis]
+    if not all(map(span.add, rows)):
+        raise RuntimeError("stored basis is linearly dependent")
+    packed = [quotient.pack(row) for row, _ in basis]
     dim = len(basis) + n
     table: ProductTable = [[{} for _ in range(dim)] for _ in range(dim)]
     for e in range(len(basis), dim):
         table[0][e] = table[e][0] = {e: Fraction(1)}
     expansions: dict[tuple[frozenset, int], dict[int, Fraction]] = {}
-    for b, (pb, db) in enumerate(basis):
+    for b, (_, db) in enumerate(basis):
         check_deadline(quotient.deadline, "the products")
         for a in range(b + 1):
-            pa, da = basis[a]
-            key = product_key(pa, pb), da * db
+            key = quotient.product(packed[a], packed[b]), basis[a][1] * db
             expansion = expansions.get(key)
             if expansion is None:
                 nf, den = quotient.reduce(key[0])

@@ -17,7 +17,7 @@ element the set of partners whose pair with it has been popped: the
 chain criterion (Buchberger, EUROSAM 1979) looks for a splitting lead
 only among the common partners of a pair.  Everything
 downstream of a basis reads its normal forms from one Quotient per
-basis: the staircase and a memo of monomial normal forms.
+basis: the staircase and a memo of normal forms of packed monomials.
 
 Hilbert drive (Traverso, JSC 22, 1996): for n homogeneous generators of
 degrees d_i, dim (S/I)_d >= HF(d), the t^d coefficient of
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
@@ -211,21 +211,10 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
         p.nvars, {m: Fraction(c, scale) for m, c in remainder.items()})
 
 
-def product_key(p: IntTerms, q: IntTerms) -> frozenset:
-    """The integer polynomial p * q as the frozenset of its nonzero terms
-    (monomial, c): the closure and the product tables reduce each once."""
-    out: IntTerms = {}
-    for s, c in p.items():
-        for t, d in q.items():
-            m = tuple(map(add, s, t))
-            out[m] = out.get(m, 0) + c * d
-    return frozenset((m, c) for m, c in out.items() if c)
-
-
 class Quotient:
     """S/I for one reduced zero-dimensional basis gb: the staircase, the
-    index of each standard monomial, and a memo of monomial normal forms
-    keyed, like every row it returns, by that index.
+    index of each standard monomial, and a memo of monomial normal forms,
+    every row it returns keyed by that index.
 
     The memo is the monomial table of FGLM (Faugere, Gianni, Lazard and
     Mora, JSC 16, 1993), fraction-free: rows[m] = (r, den) in lowest terms,
@@ -235,12 +224,20 @@ class Quotient:
     denominator.  Each t * shift is below m in degrevlex, so the walk ends.
     Each memo miss and each staircase layer checks the time.perf_counter()
     deadline.  Any other basis raises ValueError at the first row.
+
+    Past the tuples of row, standard and index, monomials are packed
+    (Bachmann and Schoenemann, ISSAC 1998) on the first row or pack: bits
+    [i*B, (i+1)*B) hold exponent i, the top one a guard G, so a product is
+    one + and lm divides m iff ((m | G) - lm) & G == G.  pack and row take
+    degrees below limit = 2^(B-2) > 2 * (top degree of the staircase and
+    leads) + 1, else raise ValueError.  A product of two stays below
+    2^(B-1), and the walk never raises a degree: no field reaches its guard.
     """
 
     def __init__(self, gb: GroebnerBasis, deadline: float | None = None) -> None:
         self.gb = gb
         self.deadline = deadline
-        self.rows: dict[Monomial, tuple[Row, int]] = {}
+        self.rows: dict[int, tuple[Row, int]] = {}
 
     @cached_property
     def standard(self) -> tuple[Monomial, ...]:
@@ -251,15 +248,58 @@ class Quotient:
     def index(self) -> dict[Monomial, int]:
         return {m: i for i, m in enumerate(self.standard)}
 
+    @cached_property
+    def _packing(self) -> tuple:
+        """(packer, B, limit, G, packed staircase, its index, (lm, lc, tail)s)."""
+        top = max(map(sum, (*self.gb.leads, *self.standard)))
+        bits = max(2 * top + 1, 7).bit_length() + 2  # limit >= 8
+        limit = 1 << bits - 2
+
+        def pack(m: Monomial) -> int:
+            if sum(m) >= limit:
+                raise ValueError(f"degree {sum(m)} is beyond the packing ({limit})")
+            return sum(e << i * bits for i, e in enumerate(m))
+
+        std = list(map(pack, self.standard))
+        gens = [(pack(lm), g[lm], [(pack(t), c) for t, c in g.items() if t != lm])
+                for lm, g in zip(self.gb.leads, self.gb.integer_generators)]
+        guards = sum(2 * limit << i * bits for i in range(self.gb.nvars))
+        return pack, bits, limit, guards, std, {m: i for i, m in enumerate(std)}, gens
+
+    def pack(self, terms: dict[Monomial, int]) -> list[tuple[int, int]]:
+        """Integer terms {monomial: c} as packed terms (key, c)."""
+        return [(self._packing[0](m), c) for m, c in terms.items()]
+
+    def unpack(self, key: int) -> Monomial:
+        bits = self._packing[1]
+        return tuple(key >> i * bits & (1 << bits) - 1 for i in range(self.gb.nvars))
+
+    def times(self, row: Row, monos: list[tuple[int, int]]) -> list[frozenset]:
+        """The keys of the index row times each packed term m (shifts)."""
+        std = self._packing[4]
+        return [frozenset([(std[i] + m, c * e) for i, c in row.items()])
+                for m, e in monos]
+
+    def product(self, p: list[tuple[int, int]], q: list[tuple[int, int]]) -> frozenset:
+        """The key of the product of packed terms: its nonzero terms."""
+        out: dict[int, int] = {}
+        for s, c in p:
+            for t, d in q:
+                out[s + t] = out.get(s + t, 0) + c * d
+        return frozenset([(m, c) for m, c in out.items() if c])
+
     def row(self, mono: Monomial) -> tuple[Row, int]:
-        """The memo entry (r, den) of mono; shared, so callers must not
-        mutate r."""
-        rows, index = self.rows, self.index
-        if mono in rows:
-            return rows[mono]
+        """NF(mono) = r / den, for mono of degree below the limit."""
+        return self.reduce(self.pack({mono: 1}))
+
+    def reduce(self, key: Collection[tuple[int, int]]) -> tuple[Row, int]:
+        """NF(p) = r / den of a key p of times or product, summed from memo
+        rows; each miss walks down to the memo first."""
+        rows = self.rows
+        _, _, _, guards, _, index, gens = self._packing
         # (monomial, lc, its shifted tail terms once expanded); an entry
         # whose targets are missing goes back under them and is finished after
-        stack: list[tuple[Monomial, int, list | None]] = [(mono, 1, None)]
+        stack: list = [(m, 1, None) for m, _ in key if m not in rows]
         while stack:
             m, lc, tail = stack.pop()
             if m in rows:
@@ -269,12 +309,10 @@ class Quotient:
                 if m in index:
                     rows[m] = ({index[m]: 1}, 1)
                     continue
-                for lm, g in zip(self.gb.leads, self.gb.integer_generators):
-                    if _divides(lm, m):
+                for lm, lc, g_tail in gens:
+                    if ((m | guards) - lm) & guards == guards:
                         break
-                shift, lc = _quotient(m, lm), g[lm]
-                tail = [(tuple(map(add, t, shift)), c)
-                        for t, c in g.items() if t != lm]
+                tail = [(t + (m - lm), c) for t, c in g_tail]
                 missing = [(t, 1, None) for t, _ in tail if t not in rows]
                 if missing:
                     stack.append((m, lc, tail))
@@ -282,13 +320,7 @@ class Quotient:
                     continue
             row, den = _over_lcm([(-c, rows[t]) for t, c in tail])
             rows[m] = _lowest(row, den * lc)
-        return rows[mono]
-
-    def reduce(self, key: frozenset) -> tuple[Row, int]:
-        """NF(p) = r / den of a product_key p, summed from memo rows."""
-        rows, row_of = self.rows, self.row
-        return _over_lcm([(c, rows[m] if m in rows else row_of(m))
-                          for m, c in key])
+        return _over_lcm([(c, rows[m]) for m, c in key])
 
 
 def buchberger(

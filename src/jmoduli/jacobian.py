@@ -20,9 +20,8 @@ from .groebner import (
     buchberger,
     check_deadline,
     is_zero_dimensional,
-    product_key,
 )
-from .linalg import Span, _lowest
+from .linalg import Row, Span, _lowest
 from .polys import Monomial, Polynomial, RingContext, monomials_of_weight
 from .stats import Stats
 
@@ -175,10 +174,10 @@ def deformed_subalgebra(
     V_k, since every weight-(k+1)*nu monomial factors; NF(m * v) sums the
     quotient's rows NF(m * s) over the terms c*s of v.  The iteration stops
     at the first k with V_{k+1} contained in the sum of the earlier layers,
-    which forces all later layers in as well.  The spans take reduce's index
-    rows; layers keep integer rows on monomials.  A layer forms each
-    distinct polynomial v * m once (product_key): the layer span already
-    took or refused the normal form of a repeat.
+    which forces all later layers in as well.  Layers keep reduce's index
+    rows; only the basis goes back to monomials.  A layer forms each
+    distinct polynomial v * m once (Quotient.times): the layer span
+    already took or refused the normal form of a repeat.
 
     verify_extra_steps > 0 keeps iterating that many layers past
     stabilization and raises if anything new appears (a consistency check
@@ -201,16 +200,15 @@ def deformed_subalgebra(
         raise SingularDeformationError("deformation is singular")
     quotient = Quotient(gb, deadline)
     std = quotient.standard
-    weight_nu = [{m: 1} for m in monomials_of_weight(ctx.nvars, ctx.nu)]
     unit = quotient.row((0,) * ctx.nvars)
     if not unit[0]:
         raise SingularDeformationError("the quotient S/J_(f+g) is zero")
+    weight_nu = quotient.pack(dict.fromkeys(monomials_of_weight(ctx.nvars, ctx.nu), 1))
 
     total_span = Span(len(std))
     total_span.add(unit[0])
-    one = {std[i]: c for i, c in unit[0].items()}, unit[1]
-    basis, layer = [one], [one]
-    generators: list[tuple[dict[Monomial, int], int]] = []
+    basis, layer = [unit], [unit]
+    generators: list[tuple[Row, int]] = []
     products = distinct = 0
     # a layer that adds nothing ends the closure, once verify_extra_steps
     # more layers have added nothing either
@@ -219,14 +217,13 @@ def deformed_subalgebra(
     while layer and k <= stabilized_at + verify_extra_steps:
         k += 1
         layer_span = Span(len(std))
-        next_layer: list[tuple[dict[Monomial, int], int]] = []
+        next_layer: list[tuple[Row, int]] = []
         formed: set[frozenset] = set()  # the products v * m of this layer
         grew = False
         for row, den in layer:
             check_deadline(deadline, "the closure")
             products += len(weight_nu)
-            for m in weight_nu:
-                key = product_key(row, m)
+            for key in quotient.times(row, weight_nu):
                 if key in formed:
                     continue
                 formed.add(key)
@@ -234,8 +231,7 @@ def deformed_subalgebra(
                 if not w:
                     continue
                 if layer_span.add(w):
-                    next_layer.append(_lowest(
-                        {std[i]: c for i, c in w.items()}, d * den))
+                    next_layer.append(_lowest(w, d * den))
                     if total_span.add(w):
                         basis.append(next_layer[-1])
                         grew = True
@@ -257,8 +253,8 @@ def deformed_subalgebra(
         stats.count("closure_dim", len(basis))
 
     def polynomials(vectors: list) -> tuple[Polynomial, ...]:
-        return tuple(Polynomial(ctx.nvars, {m: Fraction(c, den)
-                                            for m, c in row.items()})
+        return tuple(Polynomial(ctx.nvars, {std[i]: Fraction(c, den)
+                                            for i, c in row.items()})
                      for row, den in vectors)
 
     return DeformedSubalgebraData(

@@ -449,6 +449,32 @@ def test_moduli_builds_no_product_table(monkeypatch, capsys):
     assert quotients[0].quotient.rows == {}
 
 
+@pytest.mark.parametrize("argv,packs", [
+    (["moduli", QUARTIC], False),
+    (["dgla", CUBIC, "--degree", "1", "--weight", "0"], False),
+    (["dgla", CUBIC, "--degree", "2", "--weight", "0"], False),
+    (["deform", CUBIC, "x0*x1*x2"], True),
+])
+def test_only_deform_packs_monomials(monkeypatch, capsys, argv, packs):
+    # Quotient packs its monomials on the first row or product, which only
+    # the closure and the table ask for
+    import functools
+    from jmoduli.groebner import Quotient
+
+    built = []
+    packing = Quotient.__dict__["_packing"]
+
+    def spy(quotient):
+        built.append(quotient)
+        return packing.func(quotient)
+
+    spying = functools.cached_property(spy)
+    spying.__set_name__(Quotient, "_packing")
+    monkeypatch.setattr(Quotient, "_packing", spying)
+    assert run(capsys, argv)[0] == 0
+    assert bool(built) is packs
+
+
 def test_deform_text_serializes_no_products(monkeypatch, capsys):
     # the text report prints the basis labels but no structure constants
     import jmoduli.extended as extended

@@ -75,6 +75,23 @@ def test_json_output_matches_golden(name):
     assert stable_report(CASES[name]) == expected
 
 
+@pytest.mark.parametrize("name", [n for n in sorted(CASES)
+                                  if n.startswith("deform_")])
+def test_products_template_matches_json_dumps(name):
+    from jmoduli.cli import _dumps
+
+    report = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    assert report["result"]["products"]
+    assert _dumps(report) == json.dumps(report, indent=2)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(CASES[name] + ["--json"]) == 0
+    assert out.getvalue() == json.dumps(json.loads(out.getvalue()),
+                                        indent=2) + "\n"
+    report["result"]["products"] = []
+    assert _dumps(report) == json.dumps(report, indent=2)
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case, argv in CASES.items():

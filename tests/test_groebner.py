@@ -30,7 +30,6 @@ from jmoduli.groebner import (
     _primitive,
     _quotient,
     _spair,
-    product_key,
 )
 
 
@@ -384,8 +383,8 @@ def test_weight_table_matches_normal_form(name):
         RingContext, deformed_subalgebra, graded_quotient, monomials_of_weight)
     from jmoduli.extended import extended_from_closure
 
-    def fraction_row(quotient, mono):
-        row, den = quotient.row(mono)
+    def fraction_row(quotient, memo_row):
+        row, den = memo_row
         std = quotient.standard
         return {std[i]: Fraction(c, den) for i, c in row.items()}
 
@@ -397,10 +396,13 @@ def test_weight_table_matches_normal_form(name):
         extended_from_closure(data, ctx)
         quotient = data.quotient
         assert len(quotient.rows) > len(data.standard_basis)
-        # every memo row, through its Fraction view
-        for mono in quotient.rows:
+        # every memo row, its packed key read back to a monomial, through
+        # its Fraction view
+        monos = {quotient.unpack(key): row for key, row in quotient.rows.items()}
+        assert len(monos) == len(quotient.rows)
+        for mono, memo_row in monos.items():
             want = normal_form(Polynomial.monomial(mono), data.gb).terms
-            assert fraction_row(quotient, mono) == want
+            assert fraction_row(quotient, memo_row) == want
         return
     f = parse_polynomial(WEIGHT_TABLE_FORMS[name])
     ctx = RingContext(f.nvars, f.nvars)
@@ -409,7 +411,7 @@ def test_weight_table_matches_normal_form(name):
     for k in range(f.nvars - 1):
         for mono in monomials_of_weight(f.nvars, k * ctx.nu):
             want = normal_form(Polynomial.monomial(mono), gb).terms
-            assert fraction_row(quotient, mono) == want
+            assert fraction_row(quotient, quotient.row(mono)) == want
 
 
 # -- the integer kernel against the Fraction oracles --------------------------
@@ -459,10 +461,54 @@ def test_integer_kernel_matches_fraction_oracles(ideal):
         # the product is an integer row over one denominator, keyed by
         # standard-monomial index
         quotient = Quotient(basis)
-        row, row_den = quotient.reduce(product_key(work, {one: 1}))
+        row, row_den = quotient.reduce(
+            quotient.product(quotient.pack(work), quotient.pack({one: 1})))
         assert all(type(c) is int for c in row.values())
         assert {quotient.standard[i]: Fraction(c, den * row_den)
                 for i, c in row.items()} == normal_form(probe, basis).terms
+
+
+def test_packing_width_never_wraps():
+    from jmoduli.jacobian import nonsingular_gb
+
+    # past the packing width, pack and row refuse
+    quotient = Quotient(nonsingular_gb(parse_polynomial("x0^3 + x1^3 + x2^3")))
+    for refuse in (quotient.row, lambda mono: quotient.pack({mono: 1})):
+        with pytest.raises(ValueError, match="beyond the packing"):
+            refuse((2**20, 0, 0))
+    # x0^7 = 3/10 * x0^3 here, so no power of x0 reduces to zero
+    gb = nonsingular_gb(parse_polynomial(
+        "x0^4 + x1^4 + x2^4 + x3^4 - 5/3*x0^8"))
+    quotient = Quotient(gb)
+    std = quotient.standard
+
+    def packs(degree):
+        try:
+            return bool(quotient.pack({(degree, 0, 0, 0): 1}))
+        except ValueError:
+            return False
+
+    top = next(d for d in range(2**12) if not packs(d + 1))
+    assert not packs(2**12) and all(map(packs, range(top + 1)))
+
+    def check(row_den, mono, scale=1):
+        row, den = row_den
+        assert {std[i]: Fraction(c, den) for i, c in row.items()} == normal_form(
+            Polynomial.monomial(mono, scale), gb).terms
+
+    # every table product packs: the two highest standard monomials
+    a, b = std[-2:]
+    assert packs(sum(a) + sum(b))
+    check(quotient.reduce(quotient.product(quotient.pack({a: 1}),
+                                           quotient.pack({b: 1}))),
+          tuple(map(sum, zip(a, b))))
+    # the largest keys times can form, past the limit, in one field and
+    # across fields: x0^6 is the highest standard power of x0
+    six = quotient.index[(6, 0, 0, 0)]
+    assert not packs(6 + top)
+    for shift in [(top, 0, 0, 0), (top - 1, 1, 0, 0), (0, 0, 0, top)]:
+        [key] = quotient.times({six: 3}, quotient.pack({shift: -2}))
+        check(quotient.reduce(key), (6 + shift[0], *shift[1:]), -6)
 
 
 def box_scan(gb):
