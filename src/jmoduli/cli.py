@@ -11,7 +11,8 @@ check validates the hypotheses (homogeneous, nonsingular, nu = nvars),
 moduli reports the graded dimensions, basis data, and dim R~ and its
 grading read off the Hilbert data (no product table), deform compares
 the deformed algebra against the graded one, and dgla reports one
-(degree, weight) spot of the first-order cohomology.
+(degree, weight) spot of the first-order cohomology.  deform and dgla
+import extended and dgla when they run, so check and moduli load neither.
 
 Exit codes: 0 success, 1 a mathematical hypothesis failed, 2 parse or
 usage error, 3 compute budget exceeded.  --json switches the report to
@@ -28,14 +29,13 @@ import sys
 import time
 
 from . import __version__
-from .extended import extended_from_closure, graded_shape, to_json_dict
-from .dgla import cohomology_report
 from .groebner import BudgetExceeded
 from .jacobian import (
     SingularDeformationError,
     SingularInputError,
     deformed_subalgebra,
     graded_quotient,
+    graded_shape,
     nonsingular_gb,
     weight_of_or_none,
 )
@@ -223,6 +223,8 @@ def cmd_moduli(args) -> int:
 
 
 def cmd_deform(args) -> int:
+    from .extended import extended_from_closure, to_json_dict
+
     started = time.perf_counter()
     f, ctx = _parse_f(args)
     if args.g_file is not None and args.g:
@@ -273,6 +275,8 @@ def cmd_deform(args) -> int:
 
 
 def cmd_dgla(args) -> int:
+    from .dgla import cohomology_report
+
     started = time.perf_counter()
     f, ctx = _parse_f(args)
     spot = cohomology_report(f, args.degree, args.weight, args.deadline)

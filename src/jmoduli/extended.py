@@ -10,8 +10,8 @@ over one denominator (a graded monomial m is ({m: 1}, 1)).  Only the
 pairs i <= j are computed, sparsely, each read off the memoized monomial
 normal forms of the quotient (groebner.Quotient), not from a division
 per pair; each distinct product is expanded over the basis once, and
-the deadline is checked once per basis vector.  graded_shape reads the
-grading, and so the dimension, of R-tilde off r_k alone.
+the deadline is checked once per basis vector.  jacobian.graded_shape
+reads the grading, and so the dimension, of R-tilde off r_k alone.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .jacobian import (
     SingularInputError,
     deformed_subalgebra,
     graded_quotient,
+    graded_shape,
 )
 from .linalg import Span, _add_scaled, _integral
 from .polys import Polynomial, RingContext, render_polynomial
@@ -142,14 +143,6 @@ def build_extended(
     """R-tilde for homogeneous nonsingular f, with its even grading."""
     return extended_from_quotient(
         graded_quotient(f, ctx, max_pairs=max_pairs), ctx)
-
-
-def graded_shape(r_dims: tuple[int, ...]) -> tuple[int, ...]:
-    """The grading of R-tilde, whose length is its dimension: 2k for each
-    of the r_k primitive classes, then n-1 for each of the n e-classes."""
-    n = len(r_dims)
-    return (*(2 * k for k, r in enumerate(r_dims) for _ in range(r)),
-            *(n - 1,) * n)
 
 
 def extended_from_quotient(

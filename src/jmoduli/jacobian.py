@@ -132,6 +132,14 @@ def graded_quotient(
     return GradedQuotientData(gb, std, tuple(hilbert), tuple(r_dims), quotient)
 
 
+def graded_shape(r_dims: tuple[int, ...]) -> tuple[int, ...]:
+    """The grading of R-tilde, whose length is its dimension: 2k for each
+    of the r_k primitive classes, then n-1 for each of the n e-classes."""
+    n = len(r_dims)
+    return (*(2 * k for k, r in enumerate(r_dims) for _ in range(r)),
+            *(n - 1,) * n)
+
+
 def weight_of_or_none(p: Polynomial) -> int | None:
     """Common weight of p's monomials, or None if inhomogeneous."""
     if p.is_zero():

@@ -1,12 +1,16 @@
 """Command line behavior: exit codes, report content, determinism."""
 
 import contextlib
+import gc
+import importlib
 import io
 import json
+import pkgutil
 import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -265,6 +269,40 @@ def test_console_script_entry_point(src_env):
     assert json.loads(proc.stdout)["result"]["pass"] is True
 
 
+def test_every_public_name_is_its_home_modules_object():
+    assert set(jmoduli.__all__) <= set(dir(jmoduli))
+    for name in jmoduli.__all__:
+        if name != "__version__":
+            home = importlib.import_module(f"jmoduli.{jmoduli._HOME[name]}")
+            assert getattr(jmoduli, name) is getattr(home, name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        jmoduli.no_such_name
+
+
+# a child interpreter runs main(argv) and prints the jmoduli modules loaded
+LOADED_AFTER_MAIN = (
+    "import contextlib, io, sys\n"
+    "from jmoduli.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    assert main(sys.argv[1:]) == 0\n"
+    "print(*sorted(m for m in sys.modules if m.startswith('jmoduli')))\n")
+
+
+@pytest.mark.parametrize("argv,unused", [
+    (["check", CUBIC], {"jmoduli.dgla", "jmoduli.extended"}),
+    (["moduli", CUBIC], {"jmoduli.dgla", "jmoduli.extended"}),
+    (["dgla", CUBIC, "--degree", "1", "--weight=-3"], {"jmoduli.extended"}),
+    (["deform", CUBIC, "x0*x1*x2"], {"jmoduli.dgla"}),
+])
+def test_each_command_imports_only_what_it_runs(src_env, argv, unused):
+    proc = subprocess.run([sys.executable, "-c", LOADED_AFTER_MAIN, *argv],
+                          capture_output=True, text=True, env=src_env,
+                          timeout=60, check=True)
+    loaded = set(proc.stdout.split())
+    assert "jmoduli.jacobian" in loaded
+    assert not loaded & unused
+
+
 # a quintic whose Groebner basis runs far past any small limit
 SLOW_QUINTIC = ("x0^5 + x1^5 + x2^5 + x3^5 + x4^5 + 2*x0^3*x1*x2"
                 " - x1^2*x2^2*x3 + 3*x0*x2*x3*x4^2 - x0^2*x4^3 + x1*x3^4"
@@ -369,7 +407,13 @@ def test_text_output_is_pinned(capsys, argv, code, out, err):
 
 
 def count_calls(monkeypatch, name, module=jmoduli):
-    """Count calls of a jmoduli function through every module binding."""
+    """Count calls of a jmoduli function through every module binding.
+
+    Every submodule is imported first, so a binding in a module that a
+    command imports only when it runs is counted whichever test ran first.
+    """
+    for info in pkgutil.iter_modules(jmoduli.__path__):
+        importlib.import_module(f"jmoduli.{info.name}")
     calls = []
     original = getattr(module, name)
 
@@ -381,6 +425,31 @@ def count_calls(monkeypatch, name, module=jmoduli):
         if key.startswith("jmoduli") and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, counting)
     return calls
+
+
+def test_count_calls_leaves_no_counter_behind(src_env):
+    # a child interpreter has not loaded jmoduli.dgla.  Were dgla first
+    # imported while groebner.check_deadline was patched, it would keep the
+    # counter after the undo, and a second count through dgla would then
+    # miss the checks bound in the other modules
+    code = ("import contextlib, importlib, io, sys, pytest\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import test_cli\n"
+            "assert 'jmoduli.dgla' not in sys.modules\n"
+            "for home in ('groebner', 'dgla'):\n"
+            "    patch = pytest.MonkeyPatch()\n"
+            "    calls = test_cli.count_calls(patch, 'check_deadline', "
+            "importlib.import_module('jmoduli.' + home))\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert test_cli.main(sys.argv[2:]) == 0\n"
+            "    patch.undo()\n"
+            "    print(len(calls))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(Path(__file__).parent),
+         "dgla", CUBIC, "--degree", "0", "--weight", "4"],
+        capture_output=True, text=True, env=src_env, timeout=60, check=True)
+    first, second = map(int, proc.stdout.split())
+    assert first == second > 0
 
 
 @pytest.mark.parametrize("argv,renders", [
@@ -511,9 +580,16 @@ def test_one_variable_form(capsys):
 ])
 def test_timeout_binds_inside_the_staircase_and_the_pieces(capsys, argv,
                                                            limit):
-    started = time.perf_counter()
-    code, out, err = run(capsys, argv + ["--timeout-s", str(limit)])
-    elapsed = time.perf_counter() - started
+    # a gen-2 sweep of the whole session heap inside the timed call would
+    # time the test run, not the program
+    gc.collect()
+    gc.freeze()
+    try:
+        started = time.perf_counter()
+        code, out, err = run(capsys, argv + ["--timeout-s", str(limit)])
+        elapsed = time.perf_counter() - started
+    finally:
+        gc.unfreeze()
     assert code == 3
     assert out == ""
     assert err.startswith("budget exceeded: ")

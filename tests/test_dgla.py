@@ -2,10 +2,18 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from jmoduli import RingContext, graded_quotient, parse_polynomial
+from jmoduli import (
+    RingContext,
+    graded_quotient,
+    parse_polynomial,
+    weight_of_or_none,
+)
+from jmoduli.jacobian import nonsingular_gb
 from jmoduli.polys import Polynomial, monomials_of_weight
 from jmoduli.dgla import (
     DEL,
@@ -279,12 +287,74 @@ def test_cohomology_examples():
     assert cohomology_dims(CUBIC, 1, 0) == 1
 
 
+def koszul_report(f, hilbert, degree, weight):
+    """cohomology_report's four numbers from the Hilbert function of S/J_f
+    alone, for f of weight nu >= 2 with J_f zero-dimensional.
+
+    d is injective on L^-1 (the d_i part of d(sum h_i y d_i) is h_i f, and
+    the e-line's image has x_i there), and d maps L^0 onto (J_f)_(w+nu),
+    since f lies in J_f by Euler: the start of the Koszul complex of the
+    regular sequence f_0..f_n.  So H^-1 = 0, H^1 = HF(w+nu) and
+    H^0 = dim L^0 - dim (J_f)_(w+nu) - dim L^-1.
+    """
+    n, nu = f.nvars, weight_of_or_none(f)
+
+    def count(w):  # monomials of weight w
+        return comb(w + n - 1, n - 1) if w >= 0 else 0
+
+    hf = hilbert[weight + nu] if 0 <= weight + nu < len(hilbert) else 0
+    dims = {-1: (weight == 0) + n * count(weight - nu + 1),
+            0: n * count(weight + 1) + count(weight),
+            1: count(weight + nu)}
+    rank_out = {-1: dims[-1], 0: count(weight + nu) - hf}
+    dim_ker = dims.get(degree, 0) - rank_out.get(degree, 0)
+    dim_im_in = rank_out.get(degree - 1, 0)
+    return {"dim_piece": dims.get(degree, 0), "dim_ker": dim_ker,
+            "dim_im_in": dim_im_in, "h_dim": dim_ker - dim_im_in}
+
+
+def hilbert_of(f):
+    return graded_quotient(f, RingContext(f.nvars, weight_of_or_none(f))).hilbert
+
+
 def test_cohomology_matches_hilbert_series():
-    data = graded_quotient(CUBIC, RingContext(3, 3))
-    for w in range(-6, 7):
-        assert cohomology_dims(CUBIC, -1, w) == 0
-        want = data.hilbert[w + 3] if 0 <= w + 3 < len(data.hilbert) else 0
-        assert cohomology_dims(CUBIC, 1, w) == want
+    # every spot from weight -nu-1 to far past the goldens' weights; the
+    # golden's rational cubic, with its negative coefficient, is only
+    # pinned at a spot whose pieces are empty
+    for text, top in [("x0^3 + x1^3 + x2^3", 20),
+                      ("x0^3 + x1^3 + x2^3 + 5*x0*x1*x2", 20),
+                      ("x0^3 + x1^3 + x2^3 - 3/2*x0*x1*x2", 12),
+                      ("x0^4 + x1^4 + x2^4 + x3^4 + 2*x0^2*x1*x2", 10),
+                      ("x0^2 + x1^2", 30)]:
+        f = parse_polynomial(text)
+        hilbert = hilbert_of(f)
+        for w in range(-weight_of_or_none(f) - 1, top + 1):
+            for d in (-1, 0, 1, 2):
+                assert cohomology_report(f, d, w) == \
+                    koszul_report(f, hilbert, d, w), (text, d, w)
+
+
+@st.composite
+def perturbed_fermat(draw):
+    """A Fermat form plus up to two terms of its weight with signed,
+    sometimes fractional coefficients."""
+    n = draw(st.integers(2, 4))
+    nu = draw(st.integers(2, 5 - n // 2))
+    f = Polynomial(n, {tuple(nu * (i == j) for i in range(n)): Fraction(1)
+                       for j in range(n)})
+    monos = monomials_of_weight(n, nu)
+    for _ in range(draw(st.integers(0, 2))):
+        coeff = draw(st.sampled_from((-3, -1, 2, Fraction(-5, 3), Fraction(1, 2))))
+        f = f + Polynomial(n, {draw(st.sampled_from(monos)): Fraction(coeff)})
+    return f
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(perturbed_fermat(), st.sampled_from((-1, 0, 1, 2)), st.integers(-6, 8))
+def test_cohomology_matches_the_koszul_formula_on_drawn_forms(f, degree, w):
+    assume(nonsingular_gb(f) is not None)
+    assert cohomology_report(f, degree, w) == koszul_report(f, hilbert_of(f),
+                                                            degree, w)
 
 
 def test_cohomology_report_fields():
