@@ -198,26 +198,30 @@ def test_parse_infers_arity():
     assert parse_polynomial("5").nvars == 1
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "   ",
-        "x",
-        "x0 +",
-        "* x0",
-        "x0^",
-        "x0^x1",
-        "1/0",
-        "x0 x1",
-        "y0",
-        "2 ** x0",
-        "x0 + + x1",
-    ],
-)
-def test_parse_rejects_malformed(text):
-    with pytest.raises(ParseError):
+# (text, message, position) of each ParseError; the test id is the text
+MALFORMED = [
+    ("", "empty input", 0),
+    ("   ", "empty input", 0),
+    ("x", "variable needs an index", 0),
+    ("x0 +", "expected a term", 3),
+    ("* x0", "expected a coefficient or variable", 0),
+    ("x0^", "unexpected end of input", 3),
+    ("x0^x1", "expected an exponent", 3),
+    ("1/0", "expected a nonzero denominator", 2),
+    ("x0 x1", "expected '+' or '-'", 3),
+    ("y0", "unexpected character 'y'", 0),
+    ("2 ** x0", "expected a variable", 3),
+    ("x0 + + x1", "expected a coefficient or variable", 5),
+]
+
+
+@pytest.mark.parametrize("text,message,position", MALFORMED,
+                         ids=[text for text, _, _ in MALFORMED])
+def test_parse_rejects_malformed(text, message, position):
+    with pytest.raises(ParseError) as err:
         parse_polynomial(text)
+    assert err.value.args == (f"{message} (at position {position})",)
+    assert err.value.position == position
 
 
 def test_parse_error_carries_position():
