@@ -11,8 +11,9 @@ command line interface:
     var    := 'x' nat
     coeff  := int ('/' nat)?
 
-Whitespace is insignificant.  A leading '-' binds to the first term's
-coefficient; there is no unary minus in front of a bare factor.
+Blanks (space, tab, newline) may separate tokens but not split them.
+A leading '-' binds to the first term's coefficient; there is no unary
+minus in front of a bare factor.
 
 SparseSum is the one sparse-term algebra of the package: Polynomial
 here, and TPolynomial and FElement in dgla, differ only in their term
@@ -22,6 +23,7 @@ ring check.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from operator import neg
 from typing import Iterable
@@ -270,6 +272,11 @@ def monomials_of_weight(nvars: int, weight: int) -> list[Monomial]:
 # text format
 
 
+# one token per match, told apart by m.lastindex: 1 a variable, 2 a
+# number, 3 an operator, 4 any other character but a blank
+_TOKEN = re.compile(r"(x\d*)|(\d+)|([-+*/^])|([^ \t\n])")
+
+
 def parse_polynomial(text: str, nvars: int | None = None) -> Polynomial:
     """Parse the CLI polynomial format.
 
@@ -277,139 +284,67 @@ def parse_polynomial(text: str, nvars: int | None = None) -> Polynomial:
     index mentioned (and 1 for a constant).  Raises ParseError with a
     position on malformed input.
     """
-    stripped = text.replace(" ", "").replace("\t", "").replace("\n", "")
-    if not stripped:
+    # (kind, text, position); the kind is 'x', 'n' for a nonzero number,
+    # '0' for a zero, or the operator itself
+    tokens: list[tuple[str, str, int]] = []
+    for m in _TOKEN.finditer(text):
+        kind, value, at = m.lastindex, m[0], m.start()
+        if kind == 4:
+            raise ParseError(f"unexpected character {value!r}", at)
+        # before a digit that int() refuses, such as '²', the fault is the digit
+        if value == "x" and not text[m.end():m.end() + 1].isdigit():
+            raise ParseError("variable needs an index", at)
+        kind = "x" if kind == 1 else value if kind == 3 else "n" if int(value) else "0"
+        tokens.append((kind, value, at))
+    if not tokens:
         raise ParseError("empty input", 0)
-
-    # first pass: tokenize against the original string so positions are real
-    tokens: list[tuple[str, str, int]] = []  # (kind, value, position)
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\n":
-            i += 1
-            continue
-        if ch in "+-*/^":
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        if ch == "x":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ParseError("variable needs an index", i)
-            tokens.append(("var", text[i:j], i))
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-
     pos = 0
 
-    def peek() -> tuple[str, str, int] | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take() -> tuple[str, str, int]:
+    def take(kinds: str, message: str | None = None) -> str | None:
+        """The text of the next token if its kind is one of kinds, consumed;
+        otherwise None, or ParseError(message) when a message is given."""
         nonlocal pos
-        if pos >= len(tokens):
-            last = tokens[-1][2] + len(tokens[-1][1]) if tokens else 0
-            raise ParseError("unexpected end of input", last)
-        tok = tokens[pos]
-        pos += 1
-        return tok
+        if pos < len(tokens) and tokens[pos][0] in kinds:
+            pos += 1
+            return tokens[pos - 1][1]
+        if message is None:
+            return None
+        if pos < len(tokens):
+            raise ParseError(message, tokens[pos][2])
+        _, value, at = tokens[-1]
+        raise ParseError("unexpected end of input", at + len(value))
 
-    def parse_factor() -> tuple[int, int]:
-        """Returns (variable index, exponent)."""
-        kind, value, at = take()
-        if kind != "var":
-            raise ParseError("expected a variable", at)
-        index = int(value[1:])
-        exponent = 1
-        nxt = peek()
-        if nxt and nxt[0] == "op" and nxt[1] == "^":
-            take()
-            ekind, evalue, eat = take()
-            if ekind != "int":
-                raise ParseError("expected an exponent", eat)
-            exponent = int(evalue)
-        return index, exponent
-
-    def parse_term(sign: int) -> tuple[dict[int, int], Fraction]:
-        """Returns (exponent map, coefficient)."""
-        coeff = Fraction(sign)
+    terms: list[tuple[dict[int, int], Fraction]] = []  # (exponents, coefficient)
+    sign = take("+-")
+    while True:
+        if pos == len(tokens):
+            raise ParseError("expected a term", tokens[-1][2])
+        coeff = Fraction(-1 if sign == "-" else 1)
+        number = take("n0")
+        factor, message = not number, "expected a coefficient or variable"
+        if number:
+            den = take("/") and take("n", "expected a nonzero denominator")
+            coeff *= Fraction(int(number), int(den or 1))
+            factor, message = take("*"), "expected a variable"
         exponents: dict[int, int] = {}
-        tok = peek()
-        if tok is None:
-            raise ParseError("expected a term", tokens[-1][2] if tokens else 0)
-        if tok[0] == "int":
-            take()
-            numer = int(tok[1])
-            nxt = peek()
-            if nxt and nxt[0] == "op" and nxt[1] == "/":
-                take()
-                dkind, dvalue, dat = take()
-                if dkind != "int" or int(dvalue) == 0:
-                    raise ParseError("expected a nonzero denominator", dat)
-                coeff *= Fraction(numer, int(dvalue))
-            else:
-                coeff *= numer
-            nxt = peek()
-            if nxt and nxt[0] == "op" and nxt[1] == "*":
-                take()
-                idx, exp = parse_factor()
-                exponents[idx] = exponents.get(idx, 0) + exp
-            else:
-                return exponents, coeff
-        elif tok[0] == "var":
-            idx, exp = parse_factor()
-            exponents[idx] = exponents.get(idx, 0) + exp
-        else:
-            raise ParseError("expected a coefficient or variable", tok[2])
-        while True:
-            nxt = peek()
-            if nxt and nxt[0] == "op" and nxt[1] == "*":
-                take()
-                idx, exp = parse_factor()
-                exponents[idx] = exponents.get(idx, 0) + exp
-            else:
-                return exponents, coeff
+        while factor:
+            index = int(take("x", message)[1:])
+            power = take("^") and take("n0", "expected an exponent")
+            exponents[index] = exponents.get(index, 0) + int(power or 1)
+            factor, message = take("*"), "expected a variable"
+        terms.append((exponents, coeff))
+        if pos == len(tokens):
+            break
+        sign = take("+-", "expected '+' or '-'")
 
-    terms: list[tuple[dict[int, int], Fraction]] = []
-    first = peek()
-    sign = 1
-    if first and first[0] == "op" and first[1] == "-":
-        take()
-        sign = -1
-    elif first and first[0] == "op" and first[1] == "+":
-        take()
-    terms.append(parse_term(sign))
-    while pos < len(tokens):
-        kind, value, at = take()
-        if kind != "op" or value not in "+-":
-            raise ParseError("expected '+' or '-'", at)
-        terms.append(parse_term(1 if value == "+" else -1))
-
-    max_index = -1
-    for exponents, _ in terms:
-        for idx in exponents:
-            max_index = max(max_index, idx)
+    top = max((i for exponents, _ in terms for i in exponents), default=-1)
     if nvars is None:
-        nvars = max_index + 1 if max_index >= 0 else 1
-    elif max_index >= nvars:
-        raise ParseError(f"variable x{max_index} exceeds nvars={nvars}", 0)
-
+        nvars = max(top + 1, 1)
+    elif top >= nvars:
+        raise ParseError(f"variable x{top} exceeds nvars={nvars}", 0)
     acc: dict[Monomial, Fraction] = {}
     for exponents, coeff in terms:
-        mono = tuple(exponents.get(i, 0) for i in range(nvars))
-        _add_term(acc, mono, coeff)
+        _add_term(acc, tuple(exponents.get(i, 0) for i in range(nvars)), coeff)
     return Polynomial(nvars, acc)
 
 

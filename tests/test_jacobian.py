@@ -1,9 +1,12 @@
 """Milnor algebras of forms and their deformation closures."""
 
+import itertools
+
 import pytest
 from test_groebner import assert_reduced
 
 from jmoduli import (
+    Polynomial,
     RingContext,
     SingularDeformationError,
     SingularInputError,
@@ -176,6 +179,54 @@ def test_deformed_quotient_mu_jumps_for_higher_weight():
     assert is_zero_dimensional(gb)
     data = deformed_subalgebra(CUBIC, g, CTX3)
     assert data.dim >= sum(graded_quotient(CUBIC, CTX3).r_dims)
+
+
+def _ones_below(row, n):
+    """P * row for the unitriangular P with ones on and below the diagonal."""
+    sums = itertools.accumulate(row.get(i, 0) for i in range(n))
+    return {i: c for i, c in enumerate(sums) if c}
+
+
+def _differences(row, n):
+    """P^-1 * row: entry i less entry i - 1."""
+    out = {i: row.get(i, 0) - row.get(i - 1, 0) for i in range(n)}
+    return {i: c for i, c in out.items() if c}
+
+
+def test_closure_basis_is_carried_through_a_change_of_basis(monkeypatch):
+    # every closure vector of these inputs is one standard monomial; on a
+    # Quotient whose rows are P times the true ones it has several terms.
+    # Acceptance only sees linear dependence, and P is unimodular, so the
+    # twisted run accepts the same products in the same order, and P^-1
+    # maps its vectors back onto the plain run's
+    import jmoduli.jacobian as jacobian_module
+
+    class Twisted(jacobian_module.Quotient):
+        def reduce(self, key):
+            row, den = super().reduce(key)
+            return _ones_below(row, len(self.standard)), den
+
+        def times(self, row, monos):
+            return super().times(_differences(row, len(self.standard)), monos)
+
+    g = parse_polynomial("x0^6", 3)
+    plain = deformed_subalgebra(CUBIC, g, CTX3)
+    monkeypatch.setattr(jacobian_module, "Quotient", Twisted)
+    twisted = deformed_subalgebra(CUBIC, g, CTX3)
+    std = twisted.standard_basis
+
+    def untwisted(p):
+        coefficients = {i: p.coefficient(m) for i, m in enumerate(std)}
+        row = _differences(coefficients, len(std))
+        return Polynomial(3, {std[i]: c for i, c in row.items()})
+
+    assert all(len(p.terms) == 1 for p in plain.basis)
+    assert sum(len(p.terms) > 1 for p in twisted.basis) >= 4
+    assert [untwisted(p) for p in twisted.basis] == list(plain.basis)
+    assert ([untwisted(p) for p in twisted.generators_nf]
+            == list(plain.generators_nf))
+    assert twisted.stabilized_at == plain.stabilized_at == 2
+    assert twisted.dim == plain.dim == 6
 
 
 # -- the reduced generators are made only where they are read ----------------

@@ -1,10 +1,11 @@
 """Polynomial arithmetic, ordering, and the text format."""
 
+import re
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from jmoduli import (
     ParseError,
@@ -212,6 +213,10 @@ MALFORMED = [
     ("y0", "unexpected character 'y'", 0),
     ("2 ** x0", "expected a variable", 3),
     ("x0 + + x1", "expected a coefficient or variable", 5),
+    # digits that str.isdigit() accepts and int() refuses
+    ("x0^\u00b2", "unexpected character '\u00b2'", 3),
+    ("\u00b2", "unexpected character '\u00b2'", 0),
+    ("x\u00b2", "unexpected character '\u00b2'", 1),
 ]
 
 
@@ -248,6 +253,42 @@ def test_render_parse_roundtrip(p):
         assert parse_polynomial(render_polynomial(p), 2).is_zero()
     else:
         assert parse_polynomial(render_polynomial(p), 2) == p
+
+
+def blank_strings(min_size=0):
+    return st.text(alphabet=" \t\n", min_size=min_size, max_size=3)
+
+
+@st.composite
+def rendered_tokens(draw):
+    """A polynomial in up to 13 variables, so indices and coefficients run to
+    two digits, and the tokens of its canonical text."""
+    nvars = draw(st.integers(min_value=1, max_value=13))
+    mono = st.tuples(*[st.integers(min_value=0, max_value=12)] * nvars)
+    coeff = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+    p = Polynomial(nvars, draw(st.dictionaries(mono, coeff, max_size=4)))
+    return p, re.findall(r"x\d+|\d+|\S", render_polynomial(p))
+
+
+@given(rendered_tokens(), st.data())
+def test_blanks_between_tokens_are_insignificant(case, data):
+    p, tokens = case
+    gaps = data.draw(st.lists(blank_strings(), min_size=len(tokens) + 1,
+                              max_size=len(tokens) + 1))
+    text = "".join(g + t for g, t in zip(gaps, tokens)) + gaps[-1]
+    assert parse_polynomial(text, p.nvars) == p
+
+
+@given(rendered_tokens(), st.data())
+def test_a_blank_inside_a_token_is_an_error(case, data):
+    p, tokens = case
+    long = [i for i, t in enumerate(tokens) if len(t) > 1]
+    assume(long)
+    i = data.draw(st.sampled_from(long))
+    cut = data.draw(st.integers(min_value=1, max_value=len(tokens[i]) - 1))
+    split = tokens[i][:cut] + data.draw(blank_strings(1)) + tokens[i][cut:]
+    with pytest.raises(ParseError):
+        parse_polynomial(" ".join([*tokens[:i], split, *tokens[i + 1:]]), p.nvars)
 
 
 # -- ring context --------------------------------------------------------------
