@@ -19,10 +19,11 @@ each end-to-end metric over the seeds; runs keeps every run, by seed.
 
 The cases time library stages in a child interpreter on the copy's
 src/: the deform stages (closure, then product table) of two deform
-cases, and graded_quotient of the dense quartic of the golden files for
-moduli_dense_quartic: the minimum of three wall times, and the Stats
-counters of one run.  A revision whose graded_quotient takes no stats
-records no counters for that case.
+cases, graded_quotient of the dense quartic of the golden files for
+moduli_dense_quartic, and cohomology_report at the largest dgla_spots
+piece: the minimum of three wall times, and the Stats counters of one
+run.  A revision whose graded_quotient or cohomology_report takes no
+stats records no counters for that case.
 
 File layout: {commit, python, settings, workloads: {name: {metric:
 median}}, runs: {name: [{metric: value}]}, cases: {name: {wall_ms,
@@ -53,20 +54,29 @@ DENSE_QUARTIC = (
     QUARTIC + " + 2*x0^2*x1*x2 - x1*x2*x3^2 + 3*x0*x1*x2*x3 - x0^2*x3^2"
     " + x1^3*x3 - 2*x0*x2^3 + x0*x1^2*x3 - 3*x2^2*x3^2 + x0*x1*x2^2"
     " + 2*x1^2*x2*x3")
-# name: (f, g), or (f, None) for graded_quotient of f
+QUINTIC = "x0^5 + x1^5 + x2^5 + x3^5 + x4^5"
+# name: (f, g) to deform f along g, (f, None) for graded_quotient of f, or
+# (f, [degree, weight]) for cohomology_report at that spot
 CASES = {
     "deform_quartic_jump": (QUARTIC, "x0^8"),
     "deform_quartic_square": (QUARTIC, "x0^2*x1^2*x2^2*x3^2"),
     "moduli_dense_quartic": (DENSE_QUARTIC, None),
+    "dgla_quintic_perturbed": (QUINTIC + " + 2*x0^2*x1^2*x2", [0, 3]),
 }
 CASE_SCRIPT = """
 import inspect, json, sys, time
-from jmoduli import (deformed_subalgebra, graded_quotient, parse_polynomial,
-                     weight_of_or_none)
+from jmoduli import (cohomology_report, deformed_subalgebra, graded_quotient,
+                     parse_polynomial, weight_of_or_none)
 from jmoduli.extended import extended_from_closure
 from jmoduli.polys import RingContext
 from jmoduli.stats import Stats
-counted = "stats" in inspect.signature(graded_quotient).parameters
+
+
+def counted(stage, stats):
+    return ({"stats": stats} if "stats" in inspect.signature(stage).parameters
+            else {})
+
+
 out = {}
 for name, (f_text, g_text) in json.loads(sys.argv[1]).items():
     f = parse_polynomial(f_text)
@@ -76,7 +86,9 @@ for name, (f_text, g_text) in json.loads(sys.argv[1]).items():
         stats = Stats()
         start = time.perf_counter()
         if g_text is None:
-            graded_quotient(f, ctx, **({"stats": stats} if counted else {}))
+            graded_quotient(f, ctx, **counted(graded_quotient, stats))
+        elif isinstance(g_text, list):
+            cohomology_report(f, *g_text, **counted(cohomology_report, stats))
         else:
             data = deformed_subalgebra(
                 f, parse_polynomial(g_text, f.nvars), ctx, stats=stats)

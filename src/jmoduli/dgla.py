@@ -26,7 +26,11 @@ of x-direction letters do not square to zero under any sign assignment
 (y would have to square to zero for that), so graded pieces never
 enumerate mixed e-words: e enters only as a one-dimensional scalar line.
 d_f is written once, as the integer image of one term key under den * d_f
-(den the lcm of the denominators of f); the cohomology ranks those rows.
+(den the lcm of the denominators of f): a template per (word, y-exponent)
+shifted by the key's monomial.  The cohomology builds no elements: a piece
+is a list of (word, y-exponent, x-weight) blocks, and a row shifts its
+template over its block's monomials, packed B bits an exponent with
+2^B > weight + 2 nu so that no shift carries into the next field.
 
 The first-order space L is not a second calculus: it is the slice of the
 wedge module F spanned by one-letter words whose coefficients carry y at
@@ -57,9 +61,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb
-from operator import add
+from itertools import accumulate, combinations, count
+from math import comb, inf
+from operator import add, lshift
 
 from .jacobian import weight_of_or_none
 from .linalg import _echelon, _integral, check_deadline
@@ -73,6 +77,7 @@ from .polys import (
     monomials_of_weight,
     render_signed_sum,
 )
+from .stats import Stats
 
 DEL = "del"
 E = "e"
@@ -89,35 +94,20 @@ def _sign(k: int) -> int:
 
 def _letter_fdeg(letter) -> int:
     """Homological degree a letter contributes to a wedge word."""
-    if letter == DEL:
-        return 2
-    if letter == E:
-        return 0
-    return 1
+    return 2 if letter == DEL else 0 if letter == E else 1
 
 
 def _letter_weight(letter, nu: int) -> int:
-    if letter == DEL:
-        return -nu
-    if letter == E:
-        return 0
-    return -1
+    return -nu if letter == DEL else 0 if letter == E else -1
 
 
 def _letter_rank(letter, nvars: int) -> int:
-    if letter == DEL:
-        return nvars
-    if letter == E:
-        return nvars + 1
-    return letter
+    return nvars if letter == DEL else nvars + 1 if letter == E else letter
 
 
 def _check_letter(letter, nvars: int) -> None:
-    if letter in (DEL, E):
-        return
-    if isinstance(letter, int) and 0 <= letter < nvars:
-        return
-    raise ValueError(f"unknown letter {letter!r} for nvars={nvars}")
+    if not (letter in (DEL, E) or isinstance(letter, int) and 0 <= letter < nvars):
+        raise ValueError(f"unknown letter {letter!r} for nvars={nvars}")
 
 
 def _render_letter(letter) -> str:
@@ -265,9 +255,8 @@ def _sort_word(word: tuple, nvars: int):
                 sign = -sign
             w[j - 1], w[j] = w[j], w[j - 1]
             j -= 1
-    for i in range(1, len(w)):
-        if w[i] == w[i - 1] and _letter_fdeg(w[i]) % 2:
-            return None, 0
+    if any(a == b and _letter_fdeg(a) % 2 for a, b in zip(w, w[1:])):
+        return None, 0
     return tuple(w), sign
 
 
@@ -479,7 +468,7 @@ def _differential(f: Polynomial, nvars: int, nu: int):
     contributions per key: the coefficient rule d(y^b) = (b mod 2) f y^{b-1},
     and letter replacement d_i -> f_i del and e -> sum x^k d_k - nu y del
     behind a Koszul sign that counts the degree parity of the coefficient
-    and of the letters crossed.
+    and of the letters crossed; row(key) shifts the template of the key.
     """
     if f.nvars != nvars:
         raise ValueError("arity mismatch")
@@ -494,22 +483,25 @@ def _differential(f: Polynomial, nvars: int, nu: int):
                  for k in range(nvars)]
     images[E].append((DEL, 1, (((0,) * nvars, -nu * den),)))
 
+    templates: dict = {}
+
     def row(key) -> dict:
         word, mono, yexp = key
-        out: dict = {}
-        if yexp % 2:
-            for m, c in f_terms.items():
-                _add_term(out, (word, _mono_mul(mono, m), yexp - 1), c)
-        crossed = yexp
-        for pos, letter in enumerate(word):
-            for new, dy, coeff in images.get(letter, ()):
-                sw, sg = _sort_word(word[:pos] + (new,) + word[pos + 1:], nvars)
-                if sg:
-                    s = sg * _sign(crossed)
-                    for m, c in coeff:
-                        _add_term(out, (sw, _mono_mul(mono, m), yexp + dy), s * c)
-            crossed += _letter_fdeg(letter)
-        return out
+        if (word, yexp) not in templates:
+            out = ({(word, m, yexp - 1): c for m, c in f_terms.items()}
+                   if yexp % 2 else {})
+            crossed = yexp
+            for i, letter in enumerate(word):
+                for new, dy, coeff in images.get(letter, ()):
+                    sw, sg = _sort_word(word[:i] + (new,) + word[i + 1:], nvars)
+                    if sg:
+                        s = sg * _sign(crossed)
+                        for m, c in coeff:
+                            _add_term(out, (sw, m, yexp + dy), s * c)
+                crossed += _letter_fdeg(letter)
+            templates[word, yexp] = out
+        return {(w, _mono_mul(mono, m), y): c
+                for (w, m, y), c in templates[word, yexp].items()}
 
     return row, den
 
@@ -688,62 +680,75 @@ def _monomial_slices(nvars: int, weight: int):
             for part in _monomial_slices(nvars - 1, weight - e))
 
 
-def graded_piece(f: Polynomial, degree: int, weight: int,
-                 space: str = "L", deadline: float | None = None) -> GradedPiece:
-    """Monomial basis of the (degree, weight) piece of L or of F^k.
-
-    For space "Fk" (word length k) the enumeration covers all e-free
-    canonical words of that length; the degree pins the y-exponent of
-    the coefficient, so pieces stay finite.  The scalar e line appears
-    in F1 at degree 0, weight 0.
-
-    L^d is the part of F1 at degree d + 1 whose coefficients carry y at
-    most once, returned as DerivationElement views: the five generator
-    shapes x^a y d_i, x^a d_i, x^a y del, x^a del and the line through e,
-    in degrees -1, 0, 1.  The cap on y makes it a subcomplex: the
-    differential maps each shape into the others.  Each slice of at most
-    4096 monomials checks the time.perf_counter() deadline.
-    """
-    nvars, nu = _context_of(f)
+def _blocks(nvars: int, nu: int, degree: int, weight: int, space: str = "L") -> list:
+    """The (word, y-exponent, x-weight) blocks of graded_piece(f, degree,
+    weight, space) in basis order, leaving out negative x-weights."""
     if space == "L":
-        cls, k, fdeg, ymax = DerivationElement, 1, degree + 1, 1
+        k, fdeg, ymax = 1, degree + 1, 1
     else:
         text = space.replace("^", "")
         if not text.startswith("F") or not text[1:].isdigit():
             raise ValueError(f"unknown space {space!r}; expected 'L' or 'Fk'")
-        k = int(text[1:])
-        cap = nvars - 2
+        k, cap = int(text[1:]), nvars - 2
         if not 0 <= k <= cap:
             raise ValueError(f"word length {k} outside 0..{cap}")
-        cls, fdeg, ymax = FElement, degree, None
-    words = [tuple(subset) + (DEL,) * ndel
-             for ndel in range(k + 1)
-             for subset in combinations(range(nvars), k - ndel)]
+        fdeg, ymax = degree, inf
+    blocks = []
+    for ndel in range(k + 1):
+        for subset in combinations(range(nvars), k - ndel):
+            word = subset + (DEL,) * ndel
+            yexp = _word_fdeg(word) - fdeg
+            xw = weight - yexp * nu - _word_weight(word, nu)
+            if 0 <= yexp <= ymax and xw >= 0:
+                blocks.append((word, yexp, xw))
+    return blocks + [((E,), 0, 0)] * (k == 1 and fdeg == weight == 0)
+
+
+def graded_piece(f: Polynomial, degree: int, weight: int,
+                 space: str = "L", deadline: float | None = None) -> GradedPiece:
+    """Monomial basis of the (degree, weight) piece of L or of F^k.
+
+    For space "Fk" the enumeration covers the e-free canonical words of
+    length k, the degree pinning the y-exponent, and the scalar e line in
+    F1 at degree 0, weight 0.  L^d is the part of F1 at degree d + 1 whose
+    coefficients carry y at most once, as DerivationElement views: the
+    shapes x^a y d_i, x^a d_i, x^a y del, x^a del and the e line, in
+    degrees -1, 0, 1; the cap on y makes it a subcomplex.  Each slice of
+    at most 4096 monomials checks the time.perf_counter() deadline.
+    """
+    nvars, nu = _context_of(f)
+    cls = DerivationElement if space == "L" else FElement
     basis, one = [], Fraction(1)
-    for word in words:
-        yexp = _word_fdeg(word) - fdeg
-        if yexp < 0 or (ymax is not None and yexp > ymax):
-            continue
-        xw = weight - yexp * nu - _word_weight(word, nu)
+    for word, yexp, xw in _blocks(nvars, nu, degree, weight, space):
         for monos in _monomial_slices(nvars, xw):
             check_deadline(deadline, "the graded pieces")
             basis += [cls._of(nvars, nu, {(word, m, yexp): one}) for m in monos]
-    if k == 1 and fdeg == 0 and weight == 0:
-        basis.append(cls._of(nvars, nu, {((E,), (0,) * nvars, 0): one}))
     return GradedPiece(degree, weight, tuple(basis))
 
 
-def _boundary_rank(row, src: GradedPiece, dst: GradedPiece,
-                   deadline: float | None) -> int:
-    """Rank of the integer rows row(key) for the basis keys of src, in the
-    coordinates of dst: fresh rows without zeros, each built as _echelon
-    takes it, so its deadline check, once per row, covers both."""
-    index = {key: col for col, b in enumerate(dst.basis) for key in b.terms}
+def _boundary_rank(row, nvars: int, bits: int, src, dst, deadline: float | None) -> int:
+    """Rank of den * d_f from the blocks src to the blocks dst.  Monomials
+    are packed once per x-weight, with a deadline check per slice of at
+    most 4096; a row has c at column off + pos[p + d] per entry (d, c) of
+    its block's template, off the start of the entry's block in dst.  The
+    rows are fresh, without zeros, and built as _echelon takes them."""
+    shifts = [bits * i for i in range(nvars)]
+    positions: dict = {}  # x-weight -> {packed monomial: position}
+    for xw in dict.fromkeys(xw for _, _, xw in src + dst):
+        pos = positions[xw] = {}
+        for monos in _monomial_slices(nvars, xw):
+            check_deadline(deadline, "the graded pieces")
+            pos.update(zip((sum(map(lshift, m, shifts)) for m in monos), count(len(pos))))
+    cols = accumulate((len(positions[xw]) for _, _, xw in dst), initial=0)
+    offsets = {(w, y): (c, positions[xw]) for (w, y, xw), c in zip(dst, cols)}
 
     def rows():
-        for (key,) in (b.terms for b in src.basis):
+        for word, yexp, xw in src:
             try:
-                yield {index[k]: c for k, c in row(key).items()}
+                shift = [(*offsets[w, y], sum(map(lshift, m, shifts)), c)
+                         for (w, m, y), c in row((word, (0,) * nvars, yexp)).items()]
+                for p in positions[xw]:
+                    yield {off + pos[p + d]: c for off, pos, d, c in shift}
             except KeyError as exc:
                 raise RuntimeError(
                     f"differential left the enumerated piece at {exc}") from exc
@@ -752,24 +757,37 @@ def _boundary_rank(row, src: GradedPiece, dst: GradedPiece,
 
 
 def cohomology_report(f: Polynomial, degree: int, weight: int,
-                      deadline: float | None = None) -> dict:
+                      deadline: float | None = None,
+                      stats: Stats | None = None) -> dict:
     """Dimensions at one (degree, weight) spot of the first-order complex.
 
     Returns piece, kernel, incoming-image and cohomology dimensions, from
     the ranks of den * d_f: scaling rows keeps a rank, and keeps it integral.
+    stats, if given, counts piece_dim and the rows, cols, nnz and rank of
+    the boundaries out of the piece (out_) and into it (in_).
     """
-    row, _ = _differential(f, *_context_of(f))
-    here, above, below = (graded_piece(f, d, weight, "L", deadline)
+    nvars, nu = _context_of(f)
+    row, _ = _differential(f, nvars, nu)
+    here, above, below = (_blocks(nvars, nu, d, weight)
                           for d in (degree, degree + 1, degree - 1))
-    rank_out = _boundary_rank(row, here, above, deadline)
-    rank_in = _boundary_rank(row, below, here, deadline)
-    dim_ker = here.dimension - rank_out
-    return {
-        "dim_piece": here.dimension,
-        "dim_ker": dim_ker,
-        "dim_im_in": rank_in,
-        "h_dim": dim_ker - rank_in,
-    }
+    bits = max(weight + 2 * nu, 1).bit_length()
+    rank_out = _boundary_rank(row, nvars, bits, here, above, deadline)
+    rank_in = _boundary_rank(row, nvars, bits, below, here, deadline)
+
+    def size(blocks: list) -> int:
+        return sum(comb(xw + nvars - 1, nvars - 1) for _, _, xw in blocks)
+    dim = size(here)
+    if stats is not None:
+        stats.count("piece_dim", dim)
+        for name, src, dst, rank in (("out", here, above, rank_out),
+                                     ("in", below, here, rank_in)):
+            # a shift keeps every entry of the template
+            nnz = sum(size([b]) * len(row((b[0], (0,) * nvars, b[1]))) for b in src)
+            for key, n in (("rows", size(src)), ("cols", size(dst)),
+                           ("nnz", nnz), ("rank", rank)):
+                stats.count(f"{name}_{key}", n)
+    return {"dim_piece": dim, "dim_ker": dim - rank_out,
+            "dim_im_in": rank_in, "h_dim": dim - rank_out - rank_in}
 
 
 def cohomology_dims(f: Polynomial, degree: int, weight: int) -> int:

@@ -275,6 +275,8 @@ def monomials_of_weight(nvars: int, weight: int) -> list[Monomial]:
 # one token per match, told apart by m.lastindex: 1 a variable, 2 a
 # number, 3 an operator, 4 any other character but a blank
 _TOKEN = re.compile(r"(x\d*)|(\d+)|([-+*/^])|([^ \t\n])")
+# every term is a tuple of nvars exponents, so the arity is capped
+MAX_NVARS = 64
 
 
 def parse_polynomial(text: str, nvars: int | None = None) -> Polynomial:
@@ -282,7 +284,7 @@ def parse_polynomial(text: str, nvars: int | None = None) -> Polynomial:
 
     If nvars is None the arity is inferred as 1 + the largest variable
     index mentioned (and 1 for a constant).  Raises ParseError with a
-    position on malformed input.
+    position on malformed input, and on an arity above MAX_NVARS.
     """
     # (kind, text, position); the kind is 'x', 'n' for a nonzero number,
     # '0' for a zero, or the operator itself
@@ -342,6 +344,8 @@ def parse_polynomial(text: str, nvars: int | None = None) -> Polynomial:
         nvars = max(top + 1, 1)
     elif top >= nvars:
         raise ParseError(f"variable x{top} exceeds nvars={nvars}", 0)
+    if nvars > MAX_NVARS:
+        raise ParseError(f"nvars={nvars} exceeds the limit {MAX_NVARS}", 0)
     acc: dict[Monomial, Fraction] = {}
     for exponents, coeff in terms:
         _add_term(acc, tuple(exponents.get(i, 0) for i in range(nvars)), coeff)

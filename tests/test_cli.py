@@ -103,6 +103,17 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("argv", [["check", "x99999999"],
+                                  ["check", "x0^3", "--nvars", "100000000"]])
+def test_arity_above_the_cap_is_a_parse_error(capsys, argv):
+    # refused before any exponent tuple of that length is built
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == ("parse error: nvars=100000000 exceeds the limit 64 "
+                   "(at position 0)\n")
+
+
 def test_budget_exit_code(capsys):
     code, out, err = run(capsys, ["moduli", QUARTIC, "--max-pairs", "2"])
     assert code == 3

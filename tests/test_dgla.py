@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -399,13 +399,13 @@ def test_boundary_rows_reach_the_elimination_unchecked(monkeypatch, name):
     def no_check(*args):
         raise AssertionError("_integer_row on the boundary rows")
 
-    ncols = []  # len(dst.basis) of the boundary being ranked
+    ncols = []  # the dimension of dst of the boundary being ranked
     seen, ids = [], set()  # every row received, kept alive so no id is reused
     real_rank, real_echelon = dgla._boundary_rank, dgla._echelon
 
-    def boundary_rank(row, src, dst, deadline):
-        ncols.append(len(dst.basis))
-        return real_rank(row, src, dst, deadline)
+    def boundary_rank(row, nvars, bits, src, dst, deadline):
+        ncols.append(sum(comb(xw + nvars - 1, nvars - 1) for *_, xw in dst))
+        return real_rank(row, nvars, bits, src, dst, deadline)
 
     def checked(rows):
         for vec in rows:
@@ -428,6 +428,95 @@ def test_boundary_rows_reach_the_elimination_unchecked(monkeypatch, name):
     assert spot == {key: golden[key] for key in spot}
     # one row per basis key of the piece and of the piece below it
     assert len(ncols) == 2 and len(seen) >= spot["dim_piece"]
+
+
+def slow_boundary_rows(f, degree, weight):
+    """den * d_f from L^degree to L^(degree + 1) through the public path:
+    d_f_apply_F on graded_piece's elements, in graded_piece's order."""
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    column = {key: col for col, b in
+              enumerate(graded_piece(f, degree + 1, weight).basis)
+              for key in b.terms}
+    rows = []
+    for b in graded_piece(f, degree, weight).basis:
+        row = {column[k]: v * den for k, v in d_f_apply_F(b, f).terms.items()}
+        assert all(v.denominator == 1 for v in row.values())
+        rows.append({col: int(v) for col, v in row.items()})
+    return rows
+
+
+def assert_fast_rows_match(f, degree, weight):
+    """The rows cohomology_report hands _echelon, out of the piece and
+    into it, equal the slow rows column for column."""
+    import jmoduli.dgla as dgla
+
+    matrices, real_echelon = [], dgla._echelon
+
+    def copied(rows, matrix):
+        for vec in rows:
+            matrix.append(dict(vec))  # _echelon reduces the rows it takes
+            yield vec
+
+    def echelon(rows, deadline):
+        matrices.append([])
+        return real_echelon(copied(rows, matrices[-1]), deadline)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dgla, "_echelon", echelon)
+        cohomology_report(f, degree, weight)
+    assert matrices == [slow_boundary_rows(f, degree, weight),
+                        slow_boundary_rows(f, degree - 1, weight)]
+
+
+@pytest.mark.parametrize("name", DGLA_GOLDENS)
+def test_fast_boundary_rows_match_the_element_path_at_the_goldens(name):
+    from jmoduli.cli import build_parser
+
+    args = build_parser().parse_args(CASES[name])
+    assert_fast_rows_match(parse_polynomial(args.f), args.degree, args.weight)
+
+
+# the e line at (-1, 0); weight + 2 nu a power of two (the cubic at 2, the
+# quartic at 0 and 8); the cubic at weight 6, where packing one bit short
+# of the width would give x0^8*x2 and x1^9 the same key
+EDGE_SPOTS = [("cubic", -1, 0), ("cubic", 0, 0), ("cubic", 0, 2),
+              ("cubic", 1, 2), ("quartic", -1, 0), ("quartic", 0, 0),
+              ("quartic", 1, 8), ("cubic", 0, 6), ("cubic", 1, 6)]
+
+
+@pytest.mark.parametrize("form,degree,weight", EDGE_SPOTS,
+                         ids=[f"{f}({d},{w})" for f, d, w in EDGE_SPOTS])
+def test_fast_boundary_rows_match_the_element_path_at_edge_spots(form, degree,
+                                                                 weight):
+    f = {"cubic": CUBIC, "quartic": QUARTIC}[form]
+    assert_fast_rows_match(f, degree, weight)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(perturbed_fermat(), st.integers(-2, 2), st.integers(-6, 8))
+def test_fast_boundary_rows_match_the_element_path_on_drawn_forms(f, degree,
+                                                                  w):
+    assume(not f.is_zero())
+    assert_fast_rows_match(f, degree, w)
+
+
+def test_cohomology_counters():
+    from jmoduli.stats import Stats
+
+    # (0, 0): L^-1 is the e line, whose image has 4 terms; L^0 has 9 rows
+    # x_j d_i -> 3 x_j x_i^2 del of one term and y del -> f del of 3, and
+    # maps onto (J_f)_3, of dimension 9, in L^1 = x^3 del
+    stats = Stats()
+    cohomology_report(CUBIC, 0, 0, stats=stats)
+    assert stats.counters == {
+        "piece_dim": 10, "out_rows": 10, "out_cols": 10, "out_nnz": 12,
+        "out_rank": 9, "in_rows": 1, "in_cols": 10, "in_nnz": 4, "in_rank": 1}
+    # (1, -3): the lone del, closed, with empty pieces on either side
+    stats = Stats()
+    cohomology_report(CUBIC, 1, -3, stats=stats)
+    assert stats.counters == {
+        "piece_dim": 1, "out_rows": 1, "out_cols": 0, "out_nnz": 0,
+        "out_rank": 0, "in_rows": 0, "in_cols": 1, "in_nnz": 0, "in_rank": 0}
 
 
 # ---------------------------------------------------------------------------

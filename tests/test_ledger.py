@@ -31,6 +31,9 @@ def test_committed_ledger_cases_carry_the_deform_counters():
             if name.startswith("moduli_"):
                 assert {"pairs", "basis_len", "divisor_memo",
                         "standard_monomials"} <= set(case["counters"])
+            if name.startswith("dgla_"):
+                assert {"piece_dim", "out_nnz", "out_rank", "in_nnz",
+                        "in_rank"} <= set(case["counters"])
 
 
 def test_check_reports_a_broken_layout():

@@ -16,6 +16,7 @@ from jmoduli import (
     parse_polynomial,
     render_polynomial,
 )
+from jmoduli.polys import MAX_NVARS
 
 
 def poly(text, nvars=None):
@@ -238,6 +239,17 @@ def test_parse_error_carries_position():
 def test_parse_respects_explicit_arity():
     with pytest.raises(ParseError):
         parse_polynomial("x5", 3)
+
+
+def test_parse_caps_the_arity():
+    assert parse_polynomial(f"x{MAX_NVARS - 1}").nvars == MAX_NVARS
+    assert parse_polynomial("x0", MAX_NVARS).nvars == MAX_NVARS
+    for args in ((f"x{MAX_NVARS}",), ("x0", MAX_NVARS + 1)):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(*args)
+        assert err.value.args == (
+            f"nvars={MAX_NVARS + 1} exceeds the limit {MAX_NVARS} "
+            "(at position 0)",)
 
 
 def test_render_examples():
