@@ -468,7 +468,7 @@ def _differential(f: Polynomial, nvars: int, nu: int):
     contributions per key: the coefficient rule d(y^b) = (b mod 2) f y^{b-1},
     and letter replacement d_i -> f_i del and e -> sum x^k d_k - nu y del
     behind a Koszul sign that counts the degree parity of the coefficient
-    and of the letters crossed; row(key) shifts the template of the key.
+    and of the letters crossed; row(key) shifts its (word, yexp) template.
     """
     if f.nvars != nvars:
         raise ValueError("arity mismatch")
