@@ -23,7 +23,8 @@ cases, graded_quotient of the dense quartic of the golden files for
 moduli_dense_quartic, and cohomology_report at the largest dgla_spots
 piece: the minimum of three wall times, and the Stats counters of one
 run.  A revision whose graded_quotient or cohomology_report takes no
-stats records no counters for that case.
+stats records no counters for that case, and a stage is given a
+RingContext only in a revision whose signature still has ctx.
 
 File layout: {commit, python, settings, workloads: {name: {metric:
 median}}, runs: {name: [{metric: value}]}, cases: {name: {wall_ms,
@@ -68,7 +69,6 @@ import inspect, json, sys, time
 from jmoduli import (cohomology_report, deformed_subalgebra, graded_quotient,
                      parse_polynomial, weight_of_or_none)
 from jmoduli.extended import extended_from_closure
-from jmoduli.polys import RingContext
 from jmoduli.stats import Stats
 
 
@@ -77,22 +77,32 @@ def counted(stage, stats):
             else {})
 
 
+# (RingContext,) for a revision whose stage still takes ctx, else ()
+def ring(stage, f):
+    if "ctx" not in inspect.signature(stage).parameters:
+        return ()
+    from jmoduli.polys import RingContext
+    return (RingContext(f.nvars, weight_of_or_none(f)),)
+
+
 out = {}
 for name, (f_text, g_text) in json.loads(sys.argv[1]).items():
     f = parse_polynomial(f_text)
-    ctx = RingContext(f.nvars, weight_of_or_none(f))
     walls = []
     for _ in range(3):
         stats = Stats()
         start = time.perf_counter()
         if g_text is None:
-            graded_quotient(f, ctx, **counted(graded_quotient, stats))
+            graded_quotient(f, *ring(graded_quotient, f),
+                            **counted(graded_quotient, stats))
         elif isinstance(g_text, list):
             cohomology_report(f, *g_text, **counted(cohomology_report, stats))
         else:
-            data = deformed_subalgebra(
-                f, parse_polynomial(g_text, f.nvars), ctx, stats=stats)
-            extended_from_closure(data, ctx, stats=stats)
+            g = parse_polynomial(g_text, f.nvars)
+            data = deformed_subalgebra(f, g, *ring(deformed_subalgebra, f),
+                                       stats=stats)
+            extended_from_closure(data, *ring(extended_from_closure, f),
+                                  stats=stats)
         walls.append(time.perf_counter() - start)
     out[name] = {"wall_ms": round(min(walls) * 1e3, 3),
                  "counters": stats.counters}
@@ -132,9 +142,9 @@ def run_workload(copy: Path, workload: str, seed: int, seconds: float,
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def run_cases(copy: Path) -> dict:
+def run_cases(copy: Path, cases: dict = CASES) -> dict:
     proc = subprocess.run(
-        [sys.executable, "-c", CASE_SCRIPT, json.dumps(CASES)],
+        [sys.executable, "-c", CASE_SCRIPT, json.dumps(cases)],
         cwd=copy, env={**os.environ, "PYTHONPATH": str(copy / "src")},
         check=True,
         capture_output=True, text=True)

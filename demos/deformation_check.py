@@ -10,7 +10,6 @@ flags the mismatch.
 from fractions import Fraction
 
 from jmoduli import (
-    RingContext,
     deformed_subalgebra,
     parse_polynomial,
     render_polynomial,
@@ -18,18 +17,17 @@ from jmoduli import (
 )
 
 CUBIC = parse_polynomial("x0^3 + x1^3 + x2^3")
-CTX = RingContext(3, 3)
 
 
 def check(g_text, t=1):
     g = parse_polynomial(g_text, nvars=3).scale(Fraction(t))
     label = render_polynomial(g)
     print(f"--- direction g = {label} ---")
-    comparison = verify_dimension_equality(CUBIC, g, CTX)
+    comparison = verify_dimension_equality(CUBIC, g)
     print(f"  dim of the extended algebra:   {comparison['dim_extended']}")
     print(f"  dim after deforming along g:   {comparison['dim_deformed']}")
     print(f"  equal: {comparison['equal']}")
-    data = deformed_subalgebra(CUBIC, g, CTX)
+    data = deformed_subalgebra(CUBIC, g)
     rendered = ", ".join(render_polynomial(b) for b in data.basis)
     print(f"  closure stabilized at layer {data.stabilized_at}; "
           f"basis [{rendered}]")

@@ -8,7 +8,7 @@ of bracket evaluations on the wedge module.
 
 from fractions import Fraction
 
-from jmoduli import RingContext, graded_quotient, parse_polynomial
+from jmoduli import graded_quotient, parse_polynomial
 from jmoduli.dgla import (
     DEL,
     FElement,
@@ -40,7 +40,7 @@ print(f"  {checked} elements checked, all zero")
 
 print()
 print("first cohomology against the Hilbert vector:")
-hilbert = list(graded_quotient(CUBIC, RingContext(3, 3)).hilbert)
+hilbert = list(graded_quotient(CUBIC).hilbert)
 for weight in range(-3, 4):
     report = cohomology_report(CUBIC, 1, weight)
     idx = weight + NU

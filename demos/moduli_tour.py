@@ -9,7 +9,6 @@ Run:  python3 demos/moduli_tour.py
 
 from jmoduli import (
     Polynomial,
-    RingContext,
     build_extended,
     buchberger,
     graded_quotient,
@@ -22,7 +21,6 @@ from jmoduli import (
 
 def tour(text, nvars):
     f = parse_polynomial(text, nvars=nvars)
-    ctx = RingContext(nvars, nvars)
     print(f"=== {render_polynomial(f)}  ({nvars} variables) ===")
 
     gens = jacobian_ideal(f)
@@ -35,19 +33,19 @@ def tour(text, nvars):
     print(f"Groebner basis size {len(gb)}, "
           f"{len(std)} standard monomials")
 
-    data = graded_quotient(f, ctx)
+    data = graded_quotient(f)
     print("Hilbert vector:", list(data.hilbert))
     print("dimensions at weights 0, nu, 2*nu, ...:", list(data.r_dims))
 
     # the subalgebra generated in weight nu, listed degree by degree
     for k in range(nvars - 1):
-        basis = data.primitive_basis(k, ctx.nu)
+        basis = data.primitive_basis(k)
         shown = [render_polynomial(Polynomial.monomial(m))
                  for m in basis[:6]]
         tail = f", ... ({len(basis)} total)" if len(basis) > 6 else ""
         print(f"  primitive piece {k}: [{', '.join(shown)}{tail}]")
 
-    algebra = build_extended(f, ctx)
+    algebra = build_extended(f)
     print(f"extended algebra: dim {algebra.dim}")
     labels = [str(x) for x in algebra.basis_labels]
     if len(labels) > 8:

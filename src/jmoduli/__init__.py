@@ -13,10 +13,10 @@ only the modules that are used.
 from importlib import import_module
 
 _PUBLIC = {
-    "polys": "Monomial ParseError Polynomial RingContext degrevlex_key "
+    "polys": "Monomial ParseError Polynomial degrevlex_key "
              "monomials_of_weight parse_polynomial render_polynomial",
     "linalg": "Span rank_of rref",
-    "groebner": "BudgetExceeded GroebnerBasis MonomialOrder buchberger "
+    "groebner": "BudgetExceeded GroebnerBasis buchberger "
                 "is_zero_dimensional normal_form spolynomial standard_monomials",
     "jacobian": "DeformedSubalgebraData GradedQuotientData "
                 "SingularDeformationError SingularInputError deformed_subalgebra "

@@ -34,6 +34,7 @@ from .jacobian import (
     SingularDeformationError,
     SingularInputError,
     deformed_subalgebra,
+    form_weight,
     graded_quotient,
     graded_shape,
     nonsingular_gb,
@@ -42,7 +43,6 @@ from .jacobian import (
 from .polys import (
     ParseError,
     Polynomial,
-    RingContext,
     monomial_factors,
     parse_polynomial,
     render_polynomial,
@@ -101,20 +101,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(args) -> tuple[Polynomial, "int | None"]:
+def _parse(args) -> Polynomial:
     f = parse_polynomial(args.f, args.nvars)
     if f.is_zero():
         raise ParseError("f must be nonzero", 0)
-    return f, weight_of_or_none(f)
+    return f
 
 
-def _parse_f(args) -> tuple[Polynomial, RingContext]:
-    f, nu = _parse(args)
-    if nu is None:
-        raise SingularInputError("f is not homogeneous")
-    if nu == 0:
-        raise SingularInputError("f is constant")
-    return f, RingContext(f.nvars, nu)
+def _parse_f(args) -> tuple[Polynomial, int]:
+    f = _parse(args)
+    return f, form_weight(f)
 
 
 def _dumps(report: dict) -> str:
@@ -160,7 +156,8 @@ def _emit(args, f: Polynomial, nu: "int | None", g: "Polynomial | None",
 
 def cmd_check(args) -> int:
     started = time.perf_counter()
-    f, nu = _parse(args)
+    f = _parse(args)
+    nu = weight_of_or_none(f)
     homogeneous = nu is not None
     calabi_yau = homogeneous and nu == f.nvars
     nonsingular = zero_quotient = False
@@ -194,15 +191,13 @@ def cmd_check(args) -> int:
 
 def cmd_moduli(args) -> int:
     started = time.perf_counter()
-    f, ctx = _parse_f(args)
-    data = graded_quotient(f, ctx, max_pairs=args.max_pairs,
-                           deadline=args.deadline)
+    f, nu = _parse_f(args)
+    data = graded_quotient(f, max_pairs=args.max_pairs, deadline=args.deadline)
     if not data.standard_basis:
         raise SingularInputError("the quotient S/J_f is zero")
-    n = ctx.nvars - 1
     grading = list(graded_shape(data.r_dims))
     bases = [[k, [render_term(1, monomial_factors(m))
-                  for m in data.primitive_basis(k, ctx.nu)]] for k in range(n)]
+                  for m in data.primitive_basis(k)]] for k in range(f.nvars - 1)]
     result = {
         "hilbert": list(data.hilbert),
         "r_dims": list(data.r_dims),
@@ -218,7 +213,7 @@ def cmd_moduli(args) -> int:
     ]
     for k, basis in bases:
         lines.append(f"R^{k} basis:    {', '.join(basis)}")
-    _emit(args, f, ctx.nu, None, result, started, lines)
+    _emit(args, f, nu, None, result, started, lines)
     return EXIT_OK
 
 
@@ -226,7 +221,7 @@ def cmd_deform(args) -> int:
     from .extended import extended_from_closure, to_json_dict
 
     started = time.perf_counter()
-    f, ctx = _parse_f(args)
+    f, nu = _parse_f(args)
     if args.g_file is not None and args.g:
         raise ParseError("pass g inline or with --g-file, not both", 0)
     g_text = args.g
@@ -237,14 +232,13 @@ def cmd_deform(args) -> int:
         except OSError as exc:
             raise ValueError(f"cannot read --g-file: {exc}") from exc
     g_text = g_text.strip()
-    g = (Polynomial.zero(ctx.nvars) if not g_text
-         else parse_polynomial(g_text, ctx.nvars))
+    g = (Polynomial.zero(f.nvars) if not g_text
+         else parse_polynomial(g_text, f.nvars))
     # a singular f fails here, before the closure and the products
-    graded = graded_quotient(f, ctx, max_pairs=args.max_pairs,
-                             deadline=args.deadline)
-    data = deformed_subalgebra(f, g, ctx, max_pairs=args.max_pairs,
+    graded = graded_quotient(f, max_pairs=args.max_pairs, deadline=args.deadline)
+    data = deformed_subalgebra(f, g, max_pairs=args.max_pairs,
                                deadline=args.deadline)
-    algebra = extended_from_closure(data, ctx)
+    algebra = extended_from_closure(data)
     dump = to_json_dict(algebra) if args.json else {  # the text has no products
         "basis": [str(label) for label in algebra.basis_labels]}
     # dim R~ reads off the Hilbert data, dim R~_(f+g) off the table
@@ -270,7 +264,7 @@ def cmd_deform(args) -> int:
         f"verdict:       {'equal' if result['equal'] else 'NOT equal'}",
         f"basis:         {', '.join(dump['basis'])}",
     ]
-    _emit(args, f, ctx.nu, g, result, started, lines, warning)
+    _emit(args, f, nu, g, result, started, lines, warning)
     return EXIT_OK
 
 
@@ -278,14 +272,14 @@ def cmd_dgla(args) -> int:
     from .dgla import cohomology_report
 
     started = time.perf_counter()
-    f, ctx = _parse_f(args)
+    f, nu = _parse_f(args)
     spot = cohomology_report(f, args.degree, args.weight, args.deadline)
     result = {"degree": args.degree, "weight": args.weight, **spot}
     crosscheck_ok = True
     if args.degree == 1:
-        data = graded_quotient(f, ctx, max_pairs=args.max_pairs,
+        data = graded_quotient(f, max_pairs=args.max_pairs,
                                deadline=args.deadline)
-        idx = args.weight + ctx.nu
+        idx = args.weight + nu
         expected = data.hilbert[idx] if 0 <= idx < len(data.hilbert) else 0
         crosscheck_ok = spot["h_dim"] == expected
         result["hilbert_value"] = expected
@@ -300,7 +294,7 @@ def cmd_dgla(args) -> int:
         lines.append(
             f"hilbert check: {'pass' if crosscheck_ok else 'FAIL'}"
             f" (expected {result['hilbert_value']})")
-    _emit(args, f, ctx.nu, None, result, started, lines)
+    _emit(args, f, nu, None, result, started, lines)
     return EXIT_OK if crosscheck_ok else EXIT_MATH
 
 

@@ -65,7 +65,7 @@ from itertools import accumulate, combinations, count
 from math import comb, inf
 from operator import add, lshift
 
-from .jacobian import weight_of_or_none
+from .jacobian import form_weight, weight_of_or_none
 from .linalg import _echelon, _integral, check_deadline
 from .polys import (
     Monomial,
@@ -664,13 +664,6 @@ class GradedPiece:
         return len(self.basis)
 
 
-def _context_of(f: Polynomial) -> tuple[int, int]:
-    nu = weight_of_or_none(f) if not f.is_zero() else None
-    if nu is None:
-        raise ValueError("f must be a nonzero homogeneous form")
-    return f.nvars, nu
-
-
 def _monomial_slices(nvars: int, weight: int):
     """monomials_of_weight(nvars, weight) in order, as consecutive lists
     of at most 4096 monomials, split by the exponent of the last variable."""
@@ -716,7 +709,7 @@ def graded_piece(f: Polynomial, degree: int, weight: int,
     degrees -1, 0, 1; the cap on y makes it a subcomplex.  Each slice of
     at most 4096 monomials checks the time.perf_counter() deadline.
     """
-    nvars, nu = _context_of(f)
+    nvars, nu = f.nvars, form_weight(f)
     cls = DerivationElement if space == "L" else FElement
     basis, one = [], Fraction(1)
     for word, yexp, xw in _blocks(nvars, nu, degree, weight, space):
@@ -766,7 +759,7 @@ def cohomology_report(f: Polynomial, degree: int, weight: int,
     stats, if given, counts piece_dim and the rows, cols, nnz and rank of
     the boundaries out of the piece (out_) and into it (in_).
     """
-    nvars, nu = _context_of(f)
+    nvars, nu = f.nvars, form_weight(f)
     row, _ = _differential(f, nvars, nu)
     here, above, below = (_blocks(nvars, nu, d, weight)
                           for d in (degree, degree + 1, degree - 1))
@@ -818,7 +811,7 @@ def verify_shifted_differential(f: Polynomial, g: Polynomial, p: int) -> bool:
     """
     if p < 1:
         raise ValueError("p must be at least 1")
-    nvars, nu = _context_of(f)
+    nvars, nu = f.nvars, form_weight(f)
     if g.is_zero():
         return True
     if g.nvars != nvars:

@@ -2,16 +2,19 @@
 
 For homogeneous nonsingular f the underlying space is R = sum of the
 weight-k*nu graded pieces of S/J_f (k = 0..n-1); for a deformation f+g
-it is the closure subalgebra R_{f+g}.  The e-classes multiply to zero
-against everything except the unit.  _product_table builds both
-algebras; extended_from_quotient and extended_from_closure only choose
-the basis rows, labels and grading.  A basis vector is an integer row
-over one denominator (a graded monomial m is ({m: 1}, 1)).  Only the
-pairs i <= j are computed, sparsely, each read off the memoized monomial
-normal forms of the quotient (groebner.Quotient), not from a division
-per pair; each distinct product is expanded over the basis once, and
-the deadline is checked once per basis vector.  jacobian.graded_shape
-reads the grading, and so the dimension, of R-tilde off r_k alone.
+it is the closure subalgebra R_{f+g}.  Both are fixed by f alone: n + 1
+is the gb.nvars of the quotient data, and nu is GradedQuotientData.nu.
+The e-classes multiply to zero against everything except the unit.
+_product_table builds both algebras, and refuses one variable (n = 0),
+where R~ has no unit; extended_from_quotient and extended_from_closure
+only choose the basis rows, labels and grading.  A basis vector is an
+integer row over one denominator (a graded monomial m is ({m: 1}, 1)).
+Only the pairs i <= j are computed, sparsely, each read off the
+memoized monomial normal forms of the quotient (groebner.Quotient), not
+from a division per pair; each distinct product is expanded over the
+basis once, and the deadline is checked once per basis vector.
+jacobian.graded_shape reads the grading, and so the dimension, of
+R-tilde off r_k alone.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .jacobian import (
     graded_shape,
 )
 from .linalg import Span, _add_scaled, _integral
-from .polys import Polynomial, RingContext, render_polynomial
+from .polys import Polynomial, render_polynomial
 from .stats import Stats
 
 
@@ -107,6 +110,8 @@ def _product_table(
     product outside its span, is an internal error.  stats counts
     table_products (pairs) and table_distinct (products reduced).
     """
+    if n == 0:
+        raise SingularInputError("f has one variable: R~ is zero, with no unit")
     span = Span(len(quotient.standard), track_original=True)
     rows = [{quotient.index[m]: c for m, c in row.items()} for row, _ in basis]
     if not all(map(span.add, rows)):
@@ -137,17 +142,12 @@ def _product_table(
                            grading, 0)
 
 
-def build_extended(
-    f: Polynomial, ctx: RingContext, max_pairs: int = 10**6
-) -> ExtendedAlgebra:
+def build_extended(f: Polynomial, max_pairs: int = 10**6) -> ExtendedAlgebra:
     """R-tilde for homogeneous nonsingular f, with its even grading."""
-    return extended_from_quotient(
-        graded_quotient(f, ctx, max_pairs=max_pairs), ctx)
+    return extended_from_quotient(graded_quotient(f, max_pairs=max_pairs))
 
 
-def extended_from_quotient(
-    data: GradedQuotientData, ctx: RingContext
-) -> ExtendedAlgebra:
+def extended_from_quotient(data: GradedQuotientData) -> ExtendedAlgebra:
     """R-tilde from the graded quotient S/J_f.
 
     Basis: the standard monomials of weight k*nu for k = 0..n-1, then
@@ -157,11 +157,8 @@ def extended_from_quotient(
     """
     if not data.standard_basis:
         raise SingularInputError("the quotient S/J_f is zero")
-    n = ctx.nvars - 1
-    if n == 0:
-        raise SingularInputError("f has one variable: R~ is zero, with no unit")
-    monos = [(mono, k) for k in range(n)
-             for mono in data.primitive_basis(k, ctx.nu)]
+    n = data.gb.nvars - 1
+    monos = [(mono, k) for k in range(n) for mono in data.primitive_basis(k)]
     return _product_table(
         data.quotient, [({m: 1}, 1) for m, _ in monos],
         [PrimitiveClass(Polynomial.monomial(m), k) for m, k in monos],
@@ -169,18 +166,14 @@ def extended_from_quotient(
 
 
 def build_extended_deformed(
-    f: Polynomial,
-    g: Polynomial,
-    ctx: RingContext,
-    max_pairs: int = 10**6,
+    f: Polynomial, g: Polynomial, max_pairs: int = 10**6
 ) -> ExtendedAlgebra:
     """R-tilde_{f+g}: ungraded, on the closure basis of R_{f+g} plus e's."""
-    return extended_from_closure(
-        deformed_subalgebra(f, g, ctx, max_pairs=max_pairs), ctx)
+    return extended_from_closure(deformed_subalgebra(f, g, max_pairs=max_pairs))
 
 
 def extended_from_closure(
-    data: DeformedSubalgebraData, ctx: RingContext, stats: Stats | None = None
+    data: DeformedSubalgebraData, stats: Stats | None = None
 ) -> ExtendedAlgebra:
     """R-tilde_{f+g} from the closure R_{f+g}.
 
@@ -190,19 +183,19 @@ def extended_from_closure(
     """
     return _product_table(
         data.quotient, [_integral(b.terms) for b in data.basis],
-        [PrimitiveClass(b, None) for b in data.basis], None, ctx.nvars - 1,
+        [PrimitiveClass(b, None) for b in data.basis], None, data.gb.nvars - 1,
         stats)
 
 
 def verify_dimension_equality(
-    f: Polynomial, g: Polynomial, ctx: RingContext, max_pairs: int = 10**6
+    f: Polynomial, g: Polynomial, max_pairs: int = 10**6
 ) -> dict:
     """{"dim_extended", "dim_deformed", "equal"}: dim R-tilde from the
     Hilbert data alone, dim R-tilde_{f+g} from the closure."""
     dim_extended = len(graded_shape(
-        graded_quotient(f, ctx, max_pairs=max_pairs).r_dims))
+        graded_quotient(f, max_pairs=max_pairs).r_dims))
     dim_deformed = deformed_subalgebra(
-        f, g, ctx, max_pairs=max_pairs).dim + ctx.nvars - 1
+        f, g, max_pairs=max_pairs).dim + f.nvars - 1
     return {
         "dim_extended": dim_extended,
         "dim_deformed": dim_deformed,

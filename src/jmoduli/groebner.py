@@ -36,7 +36,6 @@ standard_monomials builds the same layers.
 
 from __future__ import annotations
 
-import enum
 import heapq
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
@@ -53,19 +52,14 @@ from .stats import Stats
 IntTerms = dict[Monomial, int]
 
 
-class MonomialOrder(enum.Enum):
-    DEGREVLEX = "degrevlex"
-
-
 @dataclass(frozen=True, eq=False)
 class GroebnerBasis:
     """A reduced Groebner basis: the leads and the primitive integer minimal
     generators at once, the reduced generators (tail reduction) on first
-    read.  Equality and hashing are on (generators, order, nvars)."""
+    read.  Equality and hashing are on (generators, nvars)."""
 
     leads: tuple[Monomial, ...]
     minimal: tuple[IntTerms, ...] = field(repr=False)
-    order: MonomialOrder
     nvars: int
     deadline: float | None = field(default=None, repr=False)
 
@@ -91,11 +85,10 @@ class GroebnerBasis:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GroebnerBasis) and (
-            self.generators, self.order, self.nvars) == (
-                other.generators, other.order, other.nvars)
+            self.generators, self.nvars) == (other.generators, other.nvars)
 
     def __hash__(self) -> int:
-        return hash((self.generators, self.order, self.nvars))
+        return hash((self.generators, self.nvars))
 
     def __iter__(self):
         return iter(self.generators)
@@ -325,7 +318,6 @@ class Quotient:
 
 def buchberger(
     gens: list[Polynomial],
-    order: MonomialOrder = MonomialOrder.DEGREVLEX,
     max_pairs: int = 10**6,
     deadline: float | None = None,
     stats: Stats | None = None,
@@ -342,8 +334,6 @@ def buchberger(
     divisor_memo (the monomials whose first divisor the pair loop looked
     up).
     """
-    if order is not MonomialOrder.DEGREVLEX:
-        raise ValueError(f"unsupported monomial order: {order}")
     basis = [g for g in gens if not g.is_zero()]
     if not basis:
         raise ValueError("zero ideal generators")
@@ -435,7 +425,7 @@ def buchberger(
         if not any(_divides(h, lm) for h in min_lms):
             minimal.append(g)
             min_lms.append(lm)
-    gb = GroebnerBasis(tuple(min_lms), tuple(minimal), order, nvars, deadline)
+    gb = GroebnerBasis(tuple(min_lms), tuple(minimal), nvars, deadline)
     if stats is not None:
         for key, n in dict(pairs=examined, **tally, basis_len=len(gb),
                            divisor_memo=len(memo)).items():

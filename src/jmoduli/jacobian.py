@@ -1,12 +1,15 @@
 """Jacobian ideals, graded Milnor rings, and deformed subalgebras.
 
-nonsingular_gb is the one test of nonsingularity: the basis of J_f when
-S/J_f is finite.  Then S/J_f is graded, and its weight-k*nu pieces R^k
-build the extended algebra.  For an inhomogeneous deformation f+g the
-subalgebra R_{f+g} generated by the images of all weights k*nu is
-computed by an iterated-products closure.  Both carry the Quotient of
-their basis, one object for staircase and memoized normal forms, which
-serve the closure here and the product tables in extended.py.
+Everything is read off the form f: the number of variables is f.nvars,
+and form_weight derives the weight nu, refusing a zero, inhomogeneous
+or constant f.  nonsingular_gb is the one test of nonsingularity: the
+basis of J_f when S/J_f is finite.  Then S/J_f is graded, and its
+weight-k*nu pieces R^k build the extended algebra.  For an
+inhomogeneous deformation f+g the subalgebra R_{f+g} generated by the
+images of all weights k*nu is computed by an iterated-products closure.
+Both carry the Quotient of their basis, one object for staircase and
+memoized normal forms, which serve the closure here and the product
+tables in extended.py.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .groebner import (
     is_zero_dimensional,
 )
 from .linalg import Row, Span, _lowest
-from .polys import Monomial, Polynomial, RingContext, monomials_of_weight
+from .polys import Monomial, Polynomial, monomials_of_weight
 from .stats import Stats
 
 
@@ -63,13 +66,13 @@ def nonsingular_gb(
     return gb if gb is not None and is_zero_dimensional(gb) else None
 
 
-def is_nonsingular(f: Polynomial, ctx: RingContext, max_pairs: int = 10**6) -> bool:
-    """True iff the affine cone of f has an isolated critical point.
+def is_nonsingular(f: Polynomial, max_pairs: int = 10**6) -> bool:
+    """True iff the affine cone of the form f has an isolated critical
+    point.
 
     Operationally: the Jacobian ideal is zero-dimensional.
     """
-    if f.nvars != ctx.nvars:
-        raise ValueError("arity mismatch with context")
+    form_weight(f)
     return nonsingular_gb(f, max_pairs) is not None
 
 
@@ -81,15 +84,15 @@ class GradedQuotientData:
     standard_basis: tuple[Monomial, ...]
     hilbert: tuple[int, ...]
     r_dims: tuple[int, ...]
+    nu: int
     quotient: Quotient = field(compare=False, repr=False)
 
-    def primitive_basis(self, k: int, nu: int) -> list[Monomial]:
-        return [m for m in self.standard_basis if sum(m) == k * nu]
+    def primitive_basis(self, k: int) -> list[Monomial]:
+        return [m for m in self.standard_basis if sum(m) == k * self.nu]
 
 
 def graded_quotient(
     f: Polynomial,
-    ctx: RingContext,
     max_pairs: int = 10**6,
     deadline: float | None = None,
     stats: Stats | None = None,
@@ -102,8 +105,7 @@ def graded_quotient(
     Groebner basis and every later normal form of the quotient.  stats
     takes the Buchberger counters and standard_monomials.
     """
-    if weight_of_or_none(f) != ctx.nu:
-        raise ValueError("f must be homogeneous of weight nu")
+    nu = form_weight(f)
     gb = nonsingular_gb(f, max_pairs, deadline, stats)
     if gb is None:
         raise SingularInputError("singular hypersurface")
@@ -111,7 +113,7 @@ def graded_quotient(
     std = quotient.standard
     if stats is not None:
         stats.count("standard_monomials", len(std))
-    socle = ctx.socle_weight
+    socle = f.nvars * (nu - 2)  # the top weight of the Milnor ring
     hilbert = [0] * (socle + 1)
     for mono in std:
         w = sum(mono)
@@ -124,12 +126,9 @@ def graded_quotient(
     for w in range(socle + 1):
         if hilbert[w] != hilbert[socle - w]:
             raise RuntimeError("Milnor duality violated; inconsistent quotient")
-    n = ctx.nvars - 1
-    r_dims = []
-    for k in range(n):
-        w = k * ctx.nu
-        r_dims.append(hilbert[w] if w <= socle else 0)
-    return GradedQuotientData(gb, std, tuple(hilbert), tuple(r_dims), quotient)
+    r_dims = tuple(hilbert[k * nu] if k * nu <= socle else 0
+                   for k in range(f.nvars - 1))
+    return GradedQuotientData(gb, std, tuple(hilbert), r_dims, nu, quotient)
 
 
 def graded_shape(r_dims: tuple[int, ...]) -> tuple[int, ...]:
@@ -148,6 +147,19 @@ def weight_of_or_none(p: Polynomial) -> int | None:
     if len(weights) == 1:
         return weights.pop()
     return None
+
+
+def form_weight(f: Polynomial) -> int:
+    """The weight nu of the form f; a zero f is a ValueError, and an
+    inhomogeneous or constant f a SingularInputError."""
+    if f.is_zero():
+        raise ValueError("f must be nonzero")
+    nu = weight_of_or_none(f)
+    if nu is None:
+        raise SingularInputError("f is not homogeneous")
+    if nu == 0:
+        raise SingularInputError("f is constant")
+    return nu
 
 
 @dataclass(frozen=True)
@@ -169,7 +181,6 @@ class DeformedSubalgebraData:
 def deformed_subalgebra(
     f: Polynomial,
     g: Polynomial,
-    ctx: RingContext,
     max_pairs: int = 10**6,
     verify_extra_steps: int = 0,
     deadline: float | None = None,
@@ -195,12 +206,13 @@ def deformed_subalgebra(
     closure_products (pairs (v, m)), closure_distinct (products formed) and
     closure_dim.
     """
-    if f.nvars != ctx.nvars or (not g.is_zero() and g.nvars != ctx.nvars):
-        raise ValueError("arity mismatch with context")
+    nvars, nu = f.nvars, form_weight(f)
+    if not g.is_zero() and g.nvars != nvars:
+        raise ValueError("arity mismatch between f and g")
     for mono in g.terms:
-        if sum(mono) % ctx.nu != 0:
+        if sum(mono) % nu != 0:
             raise ValueError(
-                f"deformation term of weight {sum(mono)} not divisible by nu={ctx.nu}"
+                f"deformation term of weight {sum(mono)} not divisible by nu={nu}"
             )
     total = f + g
     gb = nonsingular_gb(total, max_pairs, deadline, stats) if total else None
@@ -208,10 +220,10 @@ def deformed_subalgebra(
         raise SingularDeformationError("deformation is singular")
     quotient = Quotient(gb, deadline)
     std = quotient.standard
-    unit = quotient.row((0,) * ctx.nvars)
+    unit = quotient.row((0,) * nvars)
     if not unit[0]:
         raise SingularDeformationError("the quotient S/J_(f+g) is zero")
-    weight_nu = quotient.pack(dict.fromkeys(monomials_of_weight(ctx.nvars, ctx.nu), 1))
+    weight_nu = quotient.pack(dict.fromkeys(monomials_of_weight(nvars, nu), 1))
 
     total_span = Span(len(std))
     total_span.add(unit[0])
@@ -261,8 +273,8 @@ def deformed_subalgebra(
         stats.count("closure_dim", len(basis))
 
     def polynomials(vectors: list) -> tuple[Polynomial, ...]:
-        return tuple(Polynomial(ctx.nvars, {std[i]: Fraction(c, den)
-                                            for i, c in row.items()})
+        return tuple(Polynomial(nvars, {std[i]: Fraction(c, den)
+                                        for i, c in row.items()})
                      for row, den in vectors)
 
     return DeformedSubalgebraData(

@@ -221,38 +221,6 @@ class Polynomial(SparseSum):
         return f"Polynomial({render_polynomial(self)!r})"
 
 
-class RingContext:
-    """Ambient data for a weighted hypersurface computation.
-
-    nvars is the number of variables of S; nu is the common weight of the
-    defining forms we care about.  The quasi-cone condition used throughout
-    is nu == nvars (each variable has weight 1 and the form has degree
-    equal to the variable count).
-    """
-
-    __slots__ = ("nvars", "nu")
-
-    def __init__(self, nvars: int, nu: int) -> None:
-        if nvars < 1:
-            raise ValueError("need at least one variable")
-        if nu < 1:
-            raise ValueError("weight must be positive")
-        self.nvars = nvars
-        self.nu = nu
-
-    @property
-    def is_calabi_yau(self) -> bool:
-        return self.nu == self.nvars
-
-    @property
-    def socle_weight(self) -> int:
-        # top nonzero weight of the Milnor algebra of a nonsingular form
-        return self.nvars * (self.nu - 2)
-
-    def __repr__(self) -> str:
-        return f"RingContext(nvars={self.nvars}, nu={self.nu})"
-
-
 def monomials_of_weight(nvars: int, weight: int) -> list[Monomial]:
     """All exponent tuples of the given total degree, ascending degrevlex.
 
@@ -284,7 +252,8 @@ def parse_polynomial(text: str, nvars: int | None = None) -> Polynomial:
 
     If nvars is None the arity is inferred as 1 + the largest variable
     index mentioned (and 1 for a constant).  Raises ParseError with a
-    position on malformed input, and on an arity above MAX_NVARS.
+    position on malformed input, and on an arity below 1 or above
+    MAX_NVARS.
     """
     # (kind, text, position); the kind is 'x', 'n' for a nonzero number,
     # '0' for a zero, or the operator itself
@@ -342,6 +311,8 @@ def parse_polynomial(text: str, nvars: int | None = None) -> Polynomial:
     top = max((i for exponents, _ in terms for i in exponents), default=-1)
     if nvars is None:
         nvars = max(top + 1, 1)
+    elif nvars < 1:
+        raise ParseError(f"nvars={nvars} is below 1", 0)
     elif top >= nvars:
         raise ParseError(f"variable x{top} exceeds nvars={nvars}", 0)
     if nvars > MAX_NVARS:

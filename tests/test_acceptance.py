@@ -15,7 +15,6 @@ import pytest
 
 from jmoduli import (
     Polynomial,
-    RingContext,
     buchberger,
     build_extended,
     build_extended_deformed,
@@ -49,9 +48,6 @@ SEED = 20260816
 CUBIC = parse_polynomial("x0^3 + x1^3 + x2^3")
 QUARTIC = parse_polynomial("x0^4 + x1^4 + x2^4 + x3^4")
 QUINTIC = parse_polynomial("x0^5 + x1^5 + x2^5 + x3^5 + x4^5")
-CTX3 = RingContext(3, 3)
-CTX4 = RingContext(4, 4)
-CTX5 = RingContext(5, 5)
 
 HESSE_G = parse_polynomial("x0*x1*x2")
 QUARTIC_G = parse_polynomial("x0^2*x1^2*x2^2*x3^2")
@@ -77,22 +73,23 @@ def fermat_hilbert_oracle(nvars, nu):
 
 
 @pytest.mark.parametrize(
-    "f,ctx,r_dims,dim_extended,limit_s",
+    "f,r_dims,dim_extended,limit_s",
     [
-        (CUBIC, CTX3, [1, 1], 4, 5.0),
-        (QUARTIC, CTX4, [1, 19, 1], 24, 5.0),
-        (QUINTIC, CTX5, [1, 101, 101, 1], 208, 60.0),
+        (CUBIC, [1, 1], 4, 5.0),
+        (QUARTIC, [1, 19, 1], 24, 5.0),
+        (QUINTIC, [1, 101, 101, 1], 208, 60.0),
     ],
     ids=["cubic", "quartic", "quintic"],
 )
-def test_criterion_1_moduli_dimensions(f, ctx, r_dims, dim_extended, limit_s):
+def test_criterion_1_moduli_dimensions(f, r_dims, dim_extended, limit_s):
     started = time.monotonic()
-    data = graded_quotient(f, ctx)
+    data = graded_quotient(f)
     elapsed = time.monotonic() - started
     assert list(data.r_dims) == r_dims
-    n = ctx.nvars - 1
+    n = f.nvars - 1
     assert sum(data.r_dims) + n == dim_extended
-    assert list(data.hilbert) == fermat_hilbert_oracle(ctx.nvars, ctx.nu)
+    assert list(data.hilbert) == fermat_hilbert_oracle(
+        f.nvars, weight_of_or_none(f))
     assert elapsed < limit_s
 
 
@@ -111,7 +108,7 @@ def test_criterion_1_moduli_dimensions(f, ctx, r_dims, dim_extended, limit_s):
 def test_criterion_2_quartic_deformation_target(t):
     g = QUARTIC_G.scale(Fraction(t))
     started = time.monotonic()
-    comparison = verify_dimension_equality(QUARTIC, g, CTX4)
+    comparison = verify_dimension_equality(QUARTIC, g)
     elapsed = time.monotonic() - started
     assert elapsed < 30.0
     assert comparison["dim_deformed"] == 24
@@ -121,7 +118,7 @@ def test_criterion_2_quartic_deformation_target(t):
 def test_criterion_2_quartic_deformation_computed(t):
     g = QUARTIC_G.scale(Fraction(t))
     started = time.monotonic()
-    comparison = verify_dimension_equality(QUARTIC, g, CTX4)
+    comparison = verify_dimension_equality(QUARTIC, g)
     elapsed = time.monotonic() - started
     assert comparison["dim_extended"] == 24
     assert comparison["dim_deformed"] == 88
@@ -133,7 +130,7 @@ def test_criterion_2_quartic_deformation_computed(t):
 def test_criterion_2_hesse_pencil(t):
     g = HESSE_G.scale(Fraction(t))
     started = time.monotonic()
-    comparison = verify_dimension_equality(CUBIC, g, CTX3)
+    comparison = verify_dimension_equality(CUBIC, g)
     elapsed = time.monotonic() - started
     assert comparison["dim_deformed"] == 4
     assert comparison["equal"] is True
@@ -145,11 +142,11 @@ def test_criterion_2_hesse_pencil(t):
 
 
 def test_criterion_3_exact_direction_is_flagged():
-    comparison = verify_dimension_equality(CUBIC, CONTROL_G, CTX3)
+    comparison = verify_dimension_equality(CUBIC, CONTROL_G)
     assert comparison["dim_deformed"] == 8
     assert comparison["dim_extended"] == 4
     assert comparison["equal"] is False
-    data = deformed_subalgebra(CUBIC, CONTROL_G, CTX3)
+    data = deformed_subalgebra(CUBIC, CONTROL_G)
     assert data.dim == 6  # plus two e-classes gives 8
 
 
@@ -166,7 +163,7 @@ def test_criterion_4_differential_squares_to_zero_and_cohomology():
             for v in piece.basis:
                 image = d_f_apply(v, CUBIC)
                 assert d_f_apply(image, CUBIC).is_zero()
-    data = graded_quotient(CUBIC, CTX3)
+    data = graded_quotient(CUBIC)
     for weight in range(-2 * nu, 2 * nu + 1):
         assert cohomology_dims(CUBIC, -1, weight) == 0
         idx = weight + nu
@@ -432,12 +429,12 @@ def test_criterion_6_standard_monomials_against_rank_oracle():
 
 
 def _constructed_algebras():
-    yield "cubic", build_extended(CUBIC, CTX3)
-    yield "quartic", build_extended(QUARTIC, CTX4)
-    yield "hesse-1", build_extended_deformed(CUBIC, HESSE_G, CTX3)
+    yield "cubic", build_extended(CUBIC)
+    yield "quartic", build_extended(QUARTIC)
+    yield "hesse-1", build_extended_deformed(CUBIC, HESSE_G)
     yield "hesse-2", build_extended_deformed(
-        CUBIC, HESSE_G.scale(Fraction(2)), CTX3)
-    yield "control", build_extended_deformed(CUBIC, CONTROL_G, CTX3)
+        CUBIC, HESSE_G.scale(Fraction(2)))
+    yield "control", build_extended_deformed(CUBIC, CONTROL_G)
 
 
 def test_criterion_7_algebra_laws_exhaustive():
@@ -450,8 +447,8 @@ def test_criterion_7_algebra_laws_exhaustive():
 
 
 def test_criterion_7_grading_law_on_extended():
-    for f, ctx in [(CUBIC, CTX3), (QUARTIC, CTX4)]:
-        algebra = build_extended(f, ctx)
+    for f in [CUBIC, QUARTIC]:
+        algebra = build_extended(f)
         for i in range(algebra.dim):
             for j in range(algebra.dim):
                 for k, coeff in algebra.products[i][j].items():
@@ -479,7 +476,6 @@ def _sparse_perturbation(rng, nvars):
 def test_criterion_8_milnor_duality_on_random_forms():
     rng = random.Random(SEED)
     for nvars in (3, 4):
-        ctx = RingContext(nvars, nvars)
         produced = 0
         attempts = 0
         while produced < 10:
@@ -487,7 +483,7 @@ def test_criterion_8_milnor_duality_on_random_forms():
             assert attempts < 400
             f = _sparse_perturbation(rng, nvars)
             try:
-                data = graded_quotient(f, ctx)
+                data = graded_quotient(f)
             except SingularInputError:
                 continue
             dims = list(data.r_dims)

@@ -114,6 +114,14 @@ def test_arity_above_the_cap_is_a_parse_error(capsys, argv):
                    "(at position 0)\n")
 
 
+@pytest.mark.parametrize("value", ["-3", "0"])
+def test_arity_below_one_is_a_parse_error(capsys, value):
+    code, out, err = run(capsys, ["check", "1", "--nvars", value])
+    assert code == 2
+    assert out == ""
+    assert err == f"parse error: nvars={value} is below 1 (at position 0)\n"
+
+
 def test_budget_exit_code(capsys):
     code, out, err = run(capsys, ["moduli", QUARTIC, "--max-pairs", "2"])
     assert code == 3
@@ -568,6 +576,10 @@ def test_deform_text_serializes_no_products(monkeypatch, capsys):
     assert dumps == ["to_json_dict"]
 
 
+ONE_VARIABLE = ("hypothesis failure: f has one variable: R~ is zero, with "
+                "no unit\n")
+
+
 def test_one_variable_form(capsys):
     # n = 0: R~ has no primitive class and no e-class
     code, report, err = run_json(capsys, ["moduli", "x0^3"])
@@ -576,9 +588,15 @@ def test_one_variable_form(capsys):
     assert report["result"] == {
         "hilbert": [1, 1], "r_dims": [], "primitive_bases": [],
         "dim_extended": 0, "grading": []}
-    code, report, _ = run_json(capsys, ["deform", "x0^3"])
-    assert code == 0
-    assert report["result"]["dim_extended"] == 0
+    # so there is no product table to build, and deform refuses
+    assert run(capsys, ["deform", "x0^3"]) == (1, "", ONE_VARIABLE)
+
+
+@pytest.mark.parametrize("argv", [["deform", "x0^2", ""],
+                                  ["deform", "x0^2", "", "--json"]])
+def test_one_variable_deform_is_a_hypothesis_failure(capsys, argv):
+    # the closure of the zero deformation is R = Q, but R~ has no unit
+    assert run(capsys, argv) == (1, "", ONE_VARIABLE)
 
 
 @pytest.mark.parametrize("argv,limit", [

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from jmoduli import (
-    RingContext,
     graded_quotient,
     parse_polynomial,
     weight_of_or_none,
@@ -314,7 +313,7 @@ def koszul_report(f, hilbert, degree, weight):
 
 
 def hilbert_of(f):
-    return graded_quotient(f, RingContext(f.nvars, weight_of_or_none(f))).hilbert
+    return graded_quotient(f).hilbert
 
 
 def test_cohomology_matches_hilbert_series():

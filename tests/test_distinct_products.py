@@ -17,7 +17,6 @@ import pytest
 
 from jmoduli import (
     Polynomial,
-    RingContext,
     Span,
     deformed_subalgebra,
     monomials_of_weight,
@@ -43,12 +42,12 @@ def per_pair_product(quotient, p, q):
                       for s, c in p.items() for t, d in q.items()])
 
 
-def closure_per_pair(quotient, ctx):
+def closure_per_pair(quotient, nvars, nu):
     """(basis, generators_nf, stabilized_at, pairs) of the closure, every
     pair (v, m) of a layer reduced and offered to the layer span."""
     std = quotient.standard
-    weight_nu = [{m: 1} for m in monomials_of_weight(ctx.nvars, ctx.nu)]
-    unit = quotient.row((0,) * ctx.nvars)
+    weight_nu = [{m: 1} for m in monomials_of_weight(nvars, nu)]
+    unit = quotient.row((0,) * nvars)
     total_span = Span(len(std))
     total_span.add(unit[0])
     one = {std[i]: c for i, c in unit[0].items()}, unit[1]
@@ -75,8 +74,8 @@ def closure_per_pair(quotient, ctx):
         layer = next_layer
 
     def polynomials(vectors):
-        return tuple(Polynomial(ctx.nvars, {m: Fraction(c, den)
-                                            for m, c in row.items()})
+        return tuple(Polynomial(nvars, {m: Fraction(c, den)
+                                        for m, c in row.items()})
                      for row, den in vectors)
 
     return (polynomials(basis), polynomials(generators), stabilized_at,
@@ -101,9 +100,9 @@ def table_per_pair(quotient, basis, n):
     return table
 
 
-def assert_table_matches(data, ctx):
-    n = ctx.nvars - 1
-    products = extended_from_closure(data, ctx).products
+def assert_table_matches(data, nvars):
+    n = nvars - 1
+    products = extended_from_closure(data).products
     want = table_per_pair(data.quotient,
                           [_integral(b.terms) for b in data.basis], n)
     assert products == want
@@ -114,23 +113,22 @@ def assert_table_matches(data, ctx):
 
 def deform_case(f_text, g_text):
     f = parse_polynomial(f_text)
-    ctx = RingContext(f.nvars, weight_of_or_none(f))
     stats = Stats()
     g = parse_polynomial(g_text, f.nvars)
-    return deformed_subalgebra(f, g, ctx, stats=stats), ctx, stats
+    return deformed_subalgebra(f, g, stats=stats), f, stats
 
 
 @pytest.mark.parametrize("f_text,g_text", INPUTS)
 def test_closure_and_table_match_the_per_pair_loops(f_text, g_text):
-    data, ctx, stats = deform_case(f_text, g_text)
-    assert closure_per_pair(data.quotient, ctx) == (
+    data, f, stats = deform_case(f_text, g_text)
+    assert closure_per_pair(data.quotient, f.nvars, weight_of_or_none(f)) == (
         data.basis, data.generators_nf, data.stabilized_at,
         stats.counters["closure_products"])
-    assert_table_matches(data, ctx)
+    assert_table_matches(data, f.nvars)
 
 
 def test_table_on_multi_term_and_rescaled_rows():
-    data, ctx, _ = deform_case(QUARTIC, "x0^8")
+    data, f, _ = deform_case(QUARTIC, "x0^8")
     b = list(data.basis)
     m = [next(iter(p.terms)) for p in b[:8]]
     # b1 * b5 = b2 * b3 as monomials: rescaled, the two products have the
@@ -140,4 +138,4 @@ def test_table_on_multi_term_and_rescaled_rows():
     b[2] = b[2].scale(2)
     # two rows on the same monomials with different coefficients
     b[6], b[7] = b[6] + b[7], b[6] - b[7].scale(3)
-    assert_table_matches(dataclasses.replace(data, basis=tuple(b)), ctx)
+    assert_table_matches(dataclasses.replace(data, basis=tuple(b)), f.nvars)

@@ -8,7 +8,6 @@ from jmoduli import (
     EClass,
     Polynomial,
     PrimitiveClass,
-    RingContext,
     Span,
     SingularInputError,
     build_extended,
@@ -25,11 +24,10 @@ from jmoduli import (
 )
 
 CUBIC = parse_polynomial("x0^3 + x1^3 + x2^3")
-CTX3 = RingContext(3, 3)
 
 
 def test_cubic_extended_shape():
-    alg = build_extended(CUBIC, CTX3)
+    alg = build_extended(CUBIC)
     assert alg.dim == 4
     labels = alg.basis_labels
     assert isinstance(labels[0], PrimitiveClass) and labels[0].k == 0
@@ -40,7 +38,7 @@ def test_cubic_extended_shape():
 
 
 def test_cubic_extended_products():
-    alg = build_extended(CUBIC, CTX3)
+    alg = build_extended(CUBIC)
     one, h, e0, e1 = range(4)
     # unit row reproduces everything
     for j in range(4):
@@ -57,7 +55,7 @@ def test_cubic_extended_products():
 
 
 def test_cubic_extended_laws():
-    alg = build_extended(CUBIC, CTX3)
+    alg = build_extended(CUBIC)
     laws = verify_algebra_laws(alg)
     assert laws == {
         "unital": True,
@@ -69,7 +67,7 @@ def test_cubic_extended_laws():
 
 def test_quartic_extended_dimension():
     quartic = parse_polynomial("x0^4 + x1^4 + x2^4 + x3^4")
-    alg = build_extended(quartic, RingContext(4, 4))
+    alg = build_extended(quartic)
     assert alg.dim == 24  # 1 + 19 + 1 primitive classes plus three e's
     # primitive grades 0, 2, 4; the three e-classes all sit in grade n-1 = 2
     assert alg.grading == (0,) + (2,) * 19 + (4,) + (2, 2, 2)
@@ -78,7 +76,7 @@ def test_quartic_extended_dimension():
 
 
 def test_label_index_lookup():
-    alg = build_extended(CUBIC, CTX3)
+    alg = build_extended(CUBIC)
     assert alg.label_index(EClass(1)) == 3
     assert alg.label_index(2) == 2
     with pytest.raises(ValueError):
@@ -89,7 +87,7 @@ def test_label_index_lookup():
 
 def test_deformed_algebra_hesse_line():
     g = parse_polynomial("x0*x1*x2", 3)
-    alg = build_extended_deformed(CUBIC, g, CTX3)
+    alg = build_extended_deformed(CUBIC, g)
     assert alg.dim == 4  # two closure classes plus two e's
     assert alg.grading is None
     # the closure basis starts at the unit
@@ -103,7 +101,7 @@ def test_deformed_algebra_hesse_line():
 
 def test_deformed_algebra_exact_control():
     g = parse_polynomial("x0^6", 3)
-    alg = build_extended_deformed(CUBIC, g, CTX3)
+    alg = build_extended_deformed(CUBIC, g)
     assert alg.dim == 8
     laws = verify_algebra_laws(alg)
     assert laws["unital"] and laws["commutative"] and laws["associative"]
@@ -115,17 +113,17 @@ def test_deformed_algebra_exact_control():
 
 def test_dimension_equality_verdicts():
     hesse = verify_dimension_equality(
-        CUBIC, parse_polynomial("x0*x1*x2", 3), CTX3
+        CUBIC, parse_polynomial("x0*x1*x2", 3)
     )
     assert hesse == {"dim_extended": 4, "dim_deformed": 4, "equal": True}
     control = verify_dimension_equality(
-        CUBIC, parse_polynomial("x0^6", 3), CTX3
+        CUBIC, parse_polynomial("x0^6", 3)
     )
     assert control == {"dim_extended": 4, "dim_deformed": 8, "equal": False}
 
 
 def test_json_shape():
-    alg = build_extended(CUBIC, CTX3)
+    alg = build_extended(CUBIC)
     blob = to_json_dict(alg)
     assert blob["dim"] == 4
     assert blob["basis"][0] == "[1]"
@@ -142,7 +140,7 @@ def test_json_shape():
 
 def test_json_grading_absent_for_deformed():
     g = parse_polynomial("x0^6", 3)
-    alg = build_extended_deformed(CUBIC, g, CTX3)
+    alg = build_extended_deformed(CUBIC, g)
     blob = to_json_dict(alg)
     assert blob["grading"] is None
     assert blob["dim"] == 8
@@ -163,13 +161,13 @@ GRADED_ORACLE_FORMS = {
 }
 
 
-def ordered_pair_products(f, ctx):
+def ordered_pair_products(f):
     """Primitive products of R-tilde as build_extended once computed them:
     the normal form of every ordered pair of basis monomials.  The
     reference for the weight-table path."""
-    data = graded_quotient(f, ctx)
-    monos = [mono for k in range(ctx.nvars - 1)
-             for mono in data.primitive_basis(k, ctx.nu)]
+    data = graded_quotient(f)
+    monos = [mono for k in range(f.nvars - 1)
+             for mono in data.primitive_basis(k)]
     index = {mono: i for i, mono in enumerate(monos)}
     return [[{index[mono]: c for mono, c in normal_form(
                 Polynomial.monomial(ma) * Polynomial.monomial(mb),
@@ -180,9 +178,8 @@ def ordered_pair_products(f, ctx):
 @pytest.mark.parametrize("name", sorted(GRADED_ORACLE_FORMS))
 def test_graded_products_match_ordered_pair_normal_forms(name):
     f = parse_polynomial(GRADED_ORACLE_FORMS[name])
-    ctx = RingContext(f.nvars, f.nvars)
-    alg = build_extended(f, ctx)
-    expected = ordered_pair_products(f, ctx)
+    alg = build_extended(f)
+    expected = ordered_pair_products(f)
     nprim = len(expected)
     assert [row[:nprim] for row in alg.products[:nprim]] == expected
     # the mirrored entry of a computed product is the same dict
@@ -202,9 +199,8 @@ def test_graded_shape_matches_the_product_table(f_text):
     from jmoduli.extended import extended_from_quotient, graded_shape
 
     f = parse_polynomial(f_text)
-    ctx = RingContext(f.nvars, f.nvars)
-    data = graded_quotient(f, ctx)
-    alg = extended_from_quotient(data, ctx)
+    data = graded_quotient(f)
+    alg = extended_from_quotient(data)
     shape = graded_shape(data.r_dims)
     assert shape == alg.grading
     assert len(shape) == alg.dim
@@ -214,17 +210,19 @@ def test_one_variable_form_has_no_extended_algebra():
     from jmoduli.extended import extended_from_quotient, graded_shape
 
     # n = 0: no primitive class, so no unit to build a product table on
-    f, ctx = parse_polynomial("x0^3"), RingContext(1, 3)
+    f = parse_polynomial("x0^3")
     with pytest.raises(SingularInputError) as info:
-        build_extended(f, ctx)
+        build_extended(f)
     assert "\n" not in str(info.value)
     with pytest.raises(SingularInputError):
-        extended_from_quotient(graded_quotient(f, ctx), ctx)
-    assert graded_shape(graded_quotient(f, ctx).r_dims) == ()
+        extended_from_quotient(graded_quotient(f))
+    with pytest.raises(SingularInputError, match="one variable"):
+        build_extended_deformed(f, Polynomial.zero(1))
+    assert graded_shape(graded_quotient(f).r_dims) == ()
 
 
 def test_dense_quartic_extended_laws():
-    alg = build_extended(parse_polynomial(DENSE_QUARTIC), RingContext(4, 4))
+    alg = build_extended(parse_polynomial(DENSE_QUARTIC))
     assert verify_algebra_laws(alg) == {
         "unital": True,
         "commutative": True,
@@ -240,10 +238,9 @@ def test_dense_quartic_extended_laws():
 ])
 def test_deformed_products_match_ordered_pair_normal_forms(f_text, g_text):
     f = parse_polynomial(f_text)
-    ctx = RingContext(f.nvars, f.nvars)
     g = parse_polynomial(g_text, f.nvars)
-    alg = build_extended_deformed(f, g, ctx)
-    data = deformed_subalgebra(f, g, ctx)
+    alg = build_extended_deformed(f, g)
+    data = deformed_subalgebra(f, g)
     index = {mono: i for i, mono in enumerate(standard_monomials(data.gb))}
     span = Span(len(index), track_original=True)
     for b in data.basis:
@@ -275,17 +272,16 @@ def test_deform_stage_counters(f_text, g_text, counters):
     from jmoduli.stats import Stats
 
     f = parse_polynomial(f_text)
-    ctx = RingContext(f.nvars, f.nvars)
     g = parse_polynomial(g_text, f.nvars)
     stats = Stats()
-    data = deformed_subalgebra(f, g, ctx, stats=stats)
-    alg = extended_from_closure(data, ctx, stats=stats)
+    data = deformed_subalgebra(f, g, stats=stats)
+    alg = extended_from_closure(data, stats=stats)
     assert stats.counters == counters
     assert data.dim == counters["closure_dim"]
     # the counters are optional and change nothing
-    plain = deformed_subalgebra(f, g, ctx)
+    plain = deformed_subalgebra(f, g)
     assert (plain.basis, plain.generators_nf) == (data.basis, data.generators_nf)
-    assert extended_from_closure(plain, ctx).products == alg.products
+    assert extended_from_closure(plain).products == alg.products
 
 
 # -- the command's deadline binds inside the closure and the products --------
@@ -308,7 +304,7 @@ def test_passed_deadline_stops_the_closure(monkeypatch):
                         lambda gb, deadline: real_std(gb))
     g = parse_polynomial("x0*x1*x2", 3)
     with pytest.raises(BudgetExceeded, match="closure|normal forms"):
-        deformed_subalgebra(CUBIC, g, CTX3, deadline=time.perf_counter() - 1)
+        deformed_subalgebra(CUBIC, g, deadline=time.perf_counter() - 1)
 
 
 def test_passed_deadline_stops_the_products():
@@ -317,14 +313,14 @@ def test_passed_deadline_stops_the_products():
     from jmoduli import BudgetExceeded
     from jmoduli.extended import extended_from_closure, extended_from_quotient
 
-    graded = graded_quotient(CUBIC, CTX3)
-    deformed = deformed_subalgebra(CUBIC, parse_polynomial("x0^6", 3), CTX3)
+    graded = graded_quotient(CUBIC)
+    deformed = deformed_subalgebra(CUBIC, parse_polynomial("x0^6", 3))
     for data, stage in ((graded, extended_from_quotient),
                         (deformed, extended_from_closure)):
-        stage(data, CTX3)  # fine without a deadline
+        stage(data)  # fine without a deadline
         data.quotient.deadline = time.perf_counter() - 1
         with pytest.raises(BudgetExceeded, match="products"):
-            stage(data, CTX3)
+            stage(data)
 
 
 def test_product_table_rejects_a_basis_that_is_not_closed_or_independent():
@@ -332,11 +328,11 @@ def test_product_table_rejects_a_basis_that_is_not_closed_or_independent():
 
     from jmoduli.extended import extended_from_closure
 
-    data = deformed_subalgebra(CUBIC, parse_polynomial("x0*x1*x2", 3), CTX3)
+    data = deformed_subalgebra(CUBIC, parse_polynomial("x0*x1*x2", 3))
     one, x0 = data.basis[0], Polynomial.variable(3, 0)
     # x0 * x0 = -x1*x2/3 in S/J_(f+g), outside the span of 1 and x0
     with pytest.raises(RuntimeError, match="left the .*span"):
-        extended_from_closure(replace(data, basis=(one, x0)), CTX3)
+        extended_from_closure(replace(data, basis=(one, x0)))
     with pytest.raises(RuntimeError, match="linearly dependent"):
         extended_from_closure(
-            replace(data, basis=(*data.basis, one.scale(2))), CTX3)
+            replace(data, basis=(*data.basis, one.scale(2))))

@@ -7,7 +7,6 @@ from test_groebner import assert_reduced
 
 from jmoduli import (
     Polynomial,
-    RingContext,
     SingularDeformationError,
     SingularInputError,
     buchberger,
@@ -25,8 +24,6 @@ from jmoduli import (
 
 CUBIC = parse_polynomial("x0^3 + x1^3 + x2^3")
 QUARTIC = parse_polynomial("x0^4 + x1^4 + x2^4 + x3^4")
-CTX3 = RingContext(3, 3)
-CTX4 = RingContext(4, 4)
 
 
 def test_jacobian_ideal_lists_partials():
@@ -46,13 +43,13 @@ def test_jacobian_ideal_keeps_zero_partials_in_place():
 
 
 def test_nonsingularity():
-    assert is_nonsingular(CUBIC, CTX3)
-    assert is_nonsingular(QUARTIC, CTX4)
+    assert is_nonsingular(CUBIC)
+    assert is_nonsingular(QUARTIC)
     # x0^3 + x1^3 cuts a singular curve in P^2
     cone = parse_polynomial("x0^3 + x1^3", 3)
-    assert not is_nonsingular(cone, CTX3)
+    assert not is_nonsingular(cone)
     with pytest.raises(ValueError):
-        is_nonsingular(parse_polynomial("0 + x0 - x0", 3), CTX3)
+        is_nonsingular(parse_polynomial("0 + x0 - x0", 3))
 
 
 def test_jacobian_gb_none_for_constant():
@@ -60,16 +57,16 @@ def test_jacobian_gb_none_for_constant():
 
 
 def test_graded_quotient_cubic():
-    data = graded_quotient(CUBIC, CTX3)
+    data = graded_quotient(CUBIC)
     assert data.hilbert == (1, 3, 3, 1)
     assert data.r_dims == (1, 1)
     assert len(data.standard_basis) == 8
-    assert data.primitive_basis(1, 3) == [(1, 1, 1)]
-    assert data.primitive_basis(0, 3) == [(0, 0, 0)]
+    assert data.primitive_basis(1) == [(1, 1, 1)]
+    assert data.primitive_basis(0) == [(0, 0, 0)]
 
 
 def test_graded_quotient_quartic():
-    data = graded_quotient(QUARTIC, CTX4)
+    data = graded_quotient(QUARTIC)
     assert data.hilbert == (1, 4, 10, 16, 19, 16, 10, 4, 1)
     assert data.r_dims == (1, 19, 1)
     assert sum(data.hilbert) == 81
@@ -77,22 +74,18 @@ def test_graded_quotient_quartic():
 
 def test_graded_quotient_rejects_singular():
     with pytest.raises(SingularInputError):
-        graded_quotient(parse_polynomial("x0^3 + x1^3", 3), CTX3)
+        graded_quotient(parse_polynomial("x0^3 + x1^3", 3))
 
 
 def test_graded_quotient_rejects_wrong_weight():
     with pytest.raises(ValueError):
-        graded_quotient(parse_polynomial("x0^4 + x1^4 + x2^4", 3), CTX3)
-    with pytest.raises(ValueError):
-        graded_quotient(parse_polynomial("x0^3 + x1^2", 3), CTX3)
+        graded_quotient(parse_polynomial("x0^3 + x1^2", 3))
 
 
 def test_milnor_duality_cubic_quartic():
-    for f, ctx in ((CUBIC, CTX3), (QUARTIC, CTX4)):
-        h = graded_quotient(f, ctx).hilbert
+    for f in (CUBIC, QUARTIC):
+        h = graded_quotient(f).hilbert
         assert h == tuple(reversed(h))
-
-
 
 
 def test_weight_of_or_none():
@@ -102,13 +95,58 @@ def test_weight_of_or_none():
         weight_of_or_none(parse_polynomial("x0 - x0", 1))
 
 
+def _entry_points():
+    """Every library function that reads n and nu off f.  The two data
+    builders, extended_from_quotient and extended_from_closure, take what
+    graded_quotient and deformed_subalgebra return."""
+    from jmoduli import (build_extended, build_extended_deformed,
+                         cohomology_report, graded_piece,
+                         verify_dimension_equality)
+
+    return {
+        "is_nonsingular": is_nonsingular,
+        "graded_quotient": graded_quotient,
+        "deformed_subalgebra": lambda f: deformed_subalgebra(
+            f, Polynomial.zero(f.nvars)),
+        "build_extended": build_extended,
+        "build_extended_deformed": lambda f: build_extended_deformed(
+            f, Polynomial.zero(f.nvars)),
+        "verify_dimension_equality": lambda f: verify_dimension_equality(
+            f, Polynomial.zero(f.nvars)),
+        "cohomology_report": lambda f: cohomology_report(f, 0, 0),
+        "graded_piece": lambda f: graded_piece(f, 0, 0),
+    }
+
+
+# the messages and exit codes of the CLI: a zero f is a parse error there
+@pytest.mark.parametrize("text,error,message", [
+    ("x0^3 + x1^2", SingularInputError, "f is not homogeneous"),
+    ("3", SingularInputError, "f is constant"),
+    ("x0 - x0", ValueError, "f must be nonzero"),
+])
+@pytest.mark.parametrize("name", sorted(_entry_points()))
+def test_every_entry_point_refuses_what_the_cli_refuses(name, text, error,
+                                                        message):
+    f = parse_polynomial(text, 3)
+    with pytest.raises(ValueError) as info:
+        _entry_points()[name](f)
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_form_weight_is_read_off_f():
+    from jmoduli.jacobian import form_weight
+
+    assert form_weight(CUBIC) == graded_quotient(CUBIC).nu == 3
+    assert form_weight(parse_polynomial("x0*x1 + x2^2", 3)) == 2
+
+
 # -- deformation closures ------------------------------------------------------
 
 
 def test_homogeneous_deformation_matches_graded_pieces():
     # f + g stays homogeneous, so the closure is the graded image
     g = parse_polynomial("x0*x1*x2", 3)
-    data = deformed_subalgebra(CUBIC, g, CTX3)
+    data = deformed_subalgebra(CUBIC, g)
     assert data.dim == 2
     assert data.stabilized_at == 1
     rendered = [render_polynomial(b) for b in data.basis]
@@ -118,7 +156,7 @@ def test_homogeneous_deformation_matches_graded_pieces():
 
 def test_exact_deformation_closure_hand_computation():
     g = parse_polynomial("x0^6", 3)
-    data = deformed_subalgebra(CUBIC, g, CTX3)
+    data = deformed_subalgebra(CUBIC, g)
     assert data.dim == 6
     assert data.stabilized_at == 2
     rendered = {render_polynomial(b) for b in data.basis}
@@ -134,13 +172,13 @@ def test_exact_deformation_closure_hand_computation():
 
 def test_closure_verify_extra_steps_passes():
     g = parse_polynomial("x0^6", 3)
-    data = deformed_subalgebra(CUBIC, g, CTX3, verify_extra_steps=3)
+    data = deformed_subalgebra(CUBIC, g, verify_extra_steps=3)
     assert data.dim == 6
 
 
 def test_closure_is_inside_deformed_quotient():
     g = parse_polynomial("x0^6", 3)
-    data = deformed_subalgebra(CUBIC, g, CTX3)
+    data = deformed_subalgebra(CUBIC, g)
     fg = CUBIC + g
     gb = buchberger(jacobian_ideal(fg))
     for b in data.basis:
@@ -149,25 +187,25 @@ def test_closure_is_inside_deformed_quotient():
 
 def test_deformation_weight_must_be_multiple_of_nu():
     with pytest.raises(ValueError):
-        deformed_subalgebra(CUBIC, parse_polynomial("x0^4", 3), CTX3)
+        deformed_subalgebra(CUBIC, parse_polynomial("x0^4", 3))
     with pytest.raises(ValueError):
         deformed_subalgebra(
-            CUBIC, parse_polynomial("x0^3 + x1^2", 3), CTX3
+            CUBIC, parse_polynomial("x0^3 + x1^2", 3)
         )
 
 
 def test_singular_deformation_rejected():
     g = parse_polynomial("x1^3 + x2^3", 3) - CUBIC  # f + g = x1^3 + x2^3
     with pytest.raises(SingularDeformationError):
-        deformed_subalgebra(CUBIC, g, CTX3)
+        deformed_subalgebra(CUBIC, g)
     with pytest.raises(SingularDeformationError):
-        deformed_subalgebra(CUBIC, -CUBIC, CTX3)
+        deformed_subalgebra(CUBIC, -CUBIC)
 
 
 def test_zero_deformation_recovers_graded_dimension():
     zero = parse_polynomial("x0^3 - x0^3", 3)
-    data = deformed_subalgebra(CUBIC, zero, CTX3)
-    assert data.dim == sum(graded_quotient(CUBIC, CTX3).r_dims)
+    data = deformed_subalgebra(CUBIC, zero)
+    assert data.dim == sum(graded_quotient(CUBIC).r_dims)
 
 
 def test_deformed_quotient_mu_jumps_for_higher_weight():
@@ -177,8 +215,8 @@ def test_deformed_quotient_mu_jumps_for_higher_weight():
     fg = CUBIC + g
     gb = buchberger(jacobian_ideal(fg))
     assert is_zero_dimensional(gb)
-    data = deformed_subalgebra(CUBIC, g, CTX3)
-    assert data.dim >= sum(graded_quotient(CUBIC, CTX3).r_dims)
+    data = deformed_subalgebra(CUBIC, g)
+    assert data.dim >= sum(graded_quotient(CUBIC).r_dims)
 
 
 def _ones_below(row, n):
@@ -210,9 +248,9 @@ def test_closure_basis_is_carried_through_a_change_of_basis(monkeypatch):
             return super().times(_differences(row, len(self.standard)), monos)
 
     g = parse_polynomial("x0^6", 3)
-    plain = deformed_subalgebra(CUBIC, g, CTX3)
+    plain = deformed_subalgebra(CUBIC, g)
     monkeypatch.setattr(jacobian_module, "Quotient", Twisted)
-    twisted = deformed_subalgebra(CUBIC, g, CTX3)
+    twisted = deformed_subalgebra(CUBIC, g)
     std = twisted.standard_basis
 
     def untwisted(p):
@@ -256,8 +294,8 @@ def reduced(gb):
 
 
 def test_leads_alone_serve_the_graded_quotient_and_nonsingularity(made_bases):
-    data = graded_quotient(QUARTIC, CTX4)
-    assert is_nonsingular(CUBIC, CTX3)
+    data = graded_quotient(QUARTIC)
+    assert is_nonsingular(CUBIC)
     assert len(made_bases) == 2 and data.gb is made_bases[0]
     assert not any(map(reduced, made_bases))
 
@@ -318,9 +356,8 @@ def test_hilbert_vector_is_the_complete_intersection_series(text):
 
     f = parse_polynomial(text)
     nu = weight_of_or_none(f)
-    ctx = RingContext(f.nvars, nu)
-    data = graded_quotient(f, ctx)
+    data = graded_quotient(f)
     assert list(data.hilbert) == ci_series(f.nvars, nu)
     assert len(data.standard_basis) == (nu - 1) ** f.nvars
-    closure = deformed_subalgebra(f, Polynomial.zero(f.nvars), ctx)
+    closure = deformed_subalgebra(f, Polynomial.zero(f.nvars))
     assert closure.dim == sum(data.r_dims)

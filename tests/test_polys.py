@@ -10,7 +10,6 @@ from hypothesis import assume, given, strategies as st
 from jmoduli import (
     ParseError,
     Polynomial,
-    RingContext,
     degrevlex_key,
     monomials_of_weight,
     parse_polynomial,
@@ -301,22 +300,6 @@ def test_a_blank_inside_a_token_is_an_error(case, data):
     split = tokens[i][:cut] + data.draw(blank_strings(1)) + tokens[i][cut:]
     with pytest.raises(ParseError):
         parse_polynomial(" ".join([*tokens[:i], split, *tokens[i + 1:]]), p.nvars)
-
-
-# -- ring context --------------------------------------------------------------
-
-
-def test_ring_context():
-    ctx = RingContext(3, 3)
-    assert ctx.is_calabi_yau
-    assert ctx.socle_weight == 3
-    quartic = RingContext(4, 4)
-    assert quartic.socle_weight == 8
-    assert not RingContext(3, 4).is_calabi_yau
-    with pytest.raises(ValueError):
-        RingContext(0, 1)
-    with pytest.raises(ValueError):
-        RingContext(2, 0)
 
 
 # -- the sparse sums: S, T = S[y] and the wedge module F -----------------------
