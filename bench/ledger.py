@@ -22,9 +22,9 @@ src/: the deform stages (closure, then product table) of two deform
 cases, graded_quotient of the dense quartic of the golden files for
 moduli_dense_quartic, and cohomology_report at the largest dgla_spots
 piece: the minimum of three wall times, and the Stats counters of one
-run.  A revision whose graded_quotient or cohomology_report takes no
-stats records no counters for that case, and a stage is given a
-RingContext only in a revision whose signature still has ctx.
+run.  The script calls each stage with stats and without a ring
+context, as the library has taken them since RingContext was removed,
+so it runs only on revisions at least that new, HEAD~1 included.
 
 File layout: {commit, python, settings, workloads: {name: {metric:
 median}}, runs: {name: [{metric: value}]}, cases: {name: {wall_ms,
@@ -65,25 +65,11 @@ CASES = {
     "dgla_quintic_perturbed": (QUINTIC + " + 2*x0^2*x1^2*x2", [0, 3]),
 }
 CASE_SCRIPT = """
-import inspect, json, sys, time
+import json, sys, time
 from jmoduli import (cohomology_report, deformed_subalgebra, graded_quotient,
-                     parse_polynomial, weight_of_or_none)
+                     parse_polynomial)
 from jmoduli.extended import extended_from_closure
 from jmoduli.stats import Stats
-
-
-def counted(stage, stats):
-    return ({"stats": stats} if "stats" in inspect.signature(stage).parameters
-            else {})
-
-
-# (RingContext,) for a revision whose stage still takes ctx, else ()
-def ring(stage, f):
-    if "ctx" not in inspect.signature(stage).parameters:
-        return ()
-    from jmoduli.polys import RingContext
-    return (RingContext(f.nvars, weight_of_or_none(f)),)
-
 
 out = {}
 for name, (f_text, g_text) in json.loads(sys.argv[1]).items():
@@ -93,16 +79,13 @@ for name, (f_text, g_text) in json.loads(sys.argv[1]).items():
         stats = Stats()
         start = time.perf_counter()
         if g_text is None:
-            graded_quotient(f, *ring(graded_quotient, f),
-                            **counted(graded_quotient, stats))
+            graded_quotient(f, stats=stats)
         elif isinstance(g_text, list):
-            cohomology_report(f, *g_text, **counted(cohomology_report, stats))
+            cohomology_report(f, *g_text, stats=stats)
         else:
             g = parse_polynomial(g_text, f.nvars)
-            data = deformed_subalgebra(f, g, *ring(deformed_subalgebra, f),
-                                       stats=stats)
-            extended_from_closure(data, *ring(extended_from_closure, f),
-                                  stats=stats)
+            data = deformed_subalgebra(f, g, stats=stats)
+            extended_from_closure(data, stats=stats)
         walls.append(time.perf_counter() - start)
     out[name] = {"wall_ms": round(min(walls) * 1e3, 3),
                  "counters": stats.counters}

@@ -6,8 +6,6 @@ against the Hilbert vector of the graded quotient.  Ends with a couple
 of bracket evaluations on the wedge module.
 """
 
-from fractions import Fraction
-
 from jmoduli import graded_quotient, parse_polynomial
 from jmoduli.dgla import (
     DEL,

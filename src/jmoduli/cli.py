@@ -69,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, run) -> argparse.ArgumentParser:
+        p.set_defaults(run=run)
         p.add_argument("f", help="defining polynomial, e.g. 'x0^3 + x1^3 + x2^3'")
         p.add_argument("--nvars", type=int, default=None,
                        help="number of variables (default: inferred from f)")
@@ -80,19 +81,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timeout-s", type=float, default=600.0,
                        help="wall clock budget in seconds, 0 disables "
                             "(default 600)")
+        return p
 
-    common(sub.add_parser("check", help="validate the hypotheses on f"))
-    common(sub.add_parser("moduli", help="graded dimensions and bases"))
-
-    deform = sub.add_parser("deform", help="deformed algebra for f+g")
-    common(deform)
+    common(sub.add_parser("check", help="validate the hypotheses on f"), cmd_check)
+    common(sub.add_parser("moduli", help="graded dimensions and bases"), cmd_moduli)
+    deform = common(sub.add_parser("deform", help="deformed algebra for f+g"),
+                    cmd_deform)
     deform.add_argument("g", nargs="?", default="",
                         help="deformation polynomial (empty means zero)")
     deform.add_argument("--g-file", default=None,
                         help="read g from a file instead")
 
-    dgla = sub.add_parser("dgla", help="first-order cohomology at one spot")
-    common(dgla)
+    dgla = common(sub.add_parser(
+        "dgla", help="first-order cohomology at one spot"), cmd_dgla)
     dgla.add_argument("--degree", type=int, required=True,
                       help="homological degree of the piece")
     dgla.add_argument("--weight", type=int, required=True,
@@ -126,8 +127,7 @@ def _dumps(report: dict) -> str:
 
 
 def _emit(args, f: Polynomial, nu: "int | None", g: "Polynomial | None",
-          result: dict, started: float, lines: list,
-          warning: "str | None" = None) -> None:
+          result: dict, lines: list) -> None:
     """The JSON report with --json, else f (and g) and the lines."""
     given = {
         "f": render_polynomial(f),
@@ -135,14 +135,14 @@ def _emit(args, f: Polynomial, nu: "int | None", g: "Polynomial | None",
         "nvars": f.nvars,
         "nu": nu,
     }
-    if warning:
-        print(f"warning: {warning}", file=sys.stderr)
+    if "warning" in result:
+        print(f"warning: {result['warning']}", file=sys.stderr)
     if args.json:
         print(_dumps({
             "command": args.command,
             "input": given,
             "result": result,
-            "timing_ms": int(round((time.perf_counter() - started) * 1000)),
+            "timing_ms": int(round((time.perf_counter() - args.started) * 1000)),
             "version": __version__,
         }))
         return
@@ -155,7 +155,6 @@ def _emit(args, f: Polynomial, nu: "int | None", g: "Polynomial | None",
 
 
 def cmd_check(args) -> int:
-    started = time.perf_counter()
     f = _parse(args)
     nu = weight_of_or_none(f)
     homogeneous = nu is not None
@@ -185,12 +184,11 @@ def cmd_check(args) -> int:
         f"nonsingular:  {'yes' if nonsingular else 'no'}",
         f"verdict:      {'pass' if passed else 'fail'}{why}",
     ]
-    _emit(args, f, nu, None, result, started, lines)
+    _emit(args, f, nu, None, result, lines)
     return EXIT_OK if passed else EXIT_MATH
 
 
 def cmd_moduli(args) -> int:
-    started = time.perf_counter()
     f, nu = _parse_f(args)
     data = graded_quotient(f, max_pairs=args.max_pairs, deadline=args.deadline)
     if not data.standard_basis:
@@ -213,14 +211,13 @@ def cmd_moduli(args) -> int:
     ]
     for k, basis in bases:
         lines.append(f"R^{k} basis:    {', '.join(basis)}")
-    _emit(args, f, nu, None, result, started, lines)
+    _emit(args, f, nu, None, result, lines)
     return EXIT_OK
 
 
 def cmd_deform(args) -> int:
     from .extended import extended_from_closure, to_json_dict
 
-    started = time.perf_counter()
     f, nu = _parse_f(args)
     if args.g_file is not None and args.g:
         raise ParseError("pass g inline or with --g-file, not both", 0)
@@ -251,27 +248,24 @@ def cmd_deform(args) -> int:
         "basis": dump["basis"],
         "products": dump.get("products"),
     }
-    warning = None
     if not result["equal"]:
-        warning = (
+        result["warning"] = (
             f"dim R~_(f+g) = {dim_deformed} differs from dim R~ = {dim}; "
             f"the deformation direction is not transverse (g may be exact "
             f"in the Jacobian ideal, or of weight 2*nu or higher)")
-        result["warning"] = warning
     lines = [
         f"dim R~:        {dim}",
         f"dim R~_(f+g):  {dim_deformed}",
         f"verdict:       {'equal' if result['equal'] else 'NOT equal'}",
         f"basis:         {', '.join(dump['basis'])}",
     ]
-    _emit(args, f, nu, g, result, started, lines, warning)
+    _emit(args, f, nu, g, result, lines)
     return EXIT_OK
 
 
 def cmd_dgla(args) -> int:
     from .dgla import cohomology_report
 
-    started = time.perf_counter()
     f, nu = _parse_f(args)
     spot = cohomology_report(f, args.degree, args.weight, args.deadline)
     result = {"degree": args.degree, "weight": args.weight, **spot}
@@ -294,16 +288,8 @@ def cmd_dgla(args) -> int:
         lines.append(
             f"hilbert check: {'pass' if crosscheck_ok else 'FAIL'}"
             f" (expected {result['hilbert_value']})")
-    _emit(args, f, nu, None, result, started, lines)
+    _emit(args, f, nu, None, result, lines)
     return EXIT_OK if crosscheck_ok else EXIT_MATH
-
-
-_COMMANDS = {
-    "check": cmd_check,
-    "moduli": cmd_moduli,
-    "deform": cmd_deform,
-    "dgla": cmd_dgla,
-}
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -313,11 +299,11 @@ def main(argv: "list[str] | None" = None) -> int:
             raise ValueError(f"--timeout-s must be >= 0, not {args.timeout_s}")
         if args.max_pairs < 0:
             raise ValueError(f"--max-pairs must be >= 0, not {args.max_pairs}")
-        # binds inside Buchberger, the staircase, the closure, the
-        # products and the cohomology
-        args.deadline = (time.perf_counter() + args.timeout_s
-                         if args.timeout_s else None)
-        return _COMMANDS[args.command](args)
+        # one instant starts timing_ms and the deadline, which binds inside
+        # Buchberger, the staircase, the closure, the products and the cohomology
+        args.started = time.perf_counter()
+        args.deadline = args.started + args.timeout_s if args.timeout_s else None
+        return args.run(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

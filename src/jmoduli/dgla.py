@@ -40,6 +40,8 @@ DerivationElement views such an element through its parts xi_parts,
 del_part and e_part, and the differential and bracket of L are those of F.
 TPolynomial and FElement take their sums, equality and ring check from
 polys.SparseSum; only their keys, constructors and products live here.
+The letters act on T by one rule, _act on a term key, which T's partials,
+DerivationElement.apply_to and the bracket of one-letter terms all read.
 
 The odd bracket on wedge words peels the leftmost letter:
 
@@ -136,6 +138,19 @@ def _coeff_factors(mono: Monomial, yexp: int) -> list[str]:
 # the coefficient ring T = S[y]
 
 
+def _act(letter, key, nu: int):
+    """(c, key') with letter(x^a y^b) = c x^a' y^b' for the term key (a, b):
+    d_i and del take c from the exponent they lower, e keeps the key and
+    takes c = its weight.  c = 0 means the term dies."""
+    mono, yexp = key
+    if letter == E:
+        return sum(mono) + yexp * nu, key
+    if letter == DEL:
+        return yexp, (mono, yexp - 1)
+    ex = mono[letter]
+    return ex, (mono[:letter] + (ex - 1,) + mono[letter + 1:], yexp)
+
+
 class TPolynomial(SparseSum):
     """Sparse element of S[y], keyed by (x-exponents, y-exponent).
 
@@ -189,21 +204,19 @@ class TPolynomial(SparseSum):
                 _add_term(terms, (_mono_mul(ma, mb), ya + yb), ca * cb)
         return TPolynomial(self.nvars, self.nu, terms)
 
-    def partial_x(self, index: int) -> "TPolynomial":
+    def _acted(self, letter) -> "TPolynomial":
         terms: dict = {}
-        for (mono, yexp), coeff in self.terms.items():
-            ex = mono[index]
-            if ex:
-                lowered = mono[:index] + (ex - 1,) + mono[index + 1:]
-                _add_term(terms, (lowered, yexp), coeff * ex)
-        return TPolynomial(self.nvars, self.nu, terms)
+        for key, coeff in self.terms.items():
+            c, new = _act(letter, key, self.nu)
+            if c:
+                _add_term(terms, new, c * coeff)
+        return TPolynomial._of(self.nvars, self.nu, terms)
+
+    def partial_x(self, index: int) -> "TPolynomial":
+        return self._acted(index)
 
     def partial_y(self) -> "TPolynomial":
-        terms: dict = {}
-        for (mono, yexp), coeff in self.terms.items():
-            if yexp:
-                _add_term(terms, (mono, yexp - 1), coeff * yexp)
-        return TPolynomial(self.nvars, self.nu, terms)
+        return self._acted(DEL)
 
     def term_weight(self, key) -> int:
         mono, yexp = key
@@ -217,9 +230,7 @@ class TPolynomial(SparseSum):
 
     def weight_scaled(self) -> "TPolynomial":
         """Each term multiplied by its own weight (the action of e on T)."""
-        return TPolynomial(self.nvars, self.nu,
-                           {k: self.term_weight(k) * v
-                            for k, v in self.terms.items()})
+        return self._acted(E)
 
     def to_s(self) -> Polynomial:
         if any(yexp for (_, yexp) in self.terms):
@@ -417,14 +428,17 @@ class DerivationElement(FElement):
         A nonzero e coefficient is an error since e is a scaling, not a
         derivation of T.
         """
-        out = TPolynomial.zero(self.nvars, self.nu)
+        self._check(t)
+        out: dict = {}
         for ((letter,), mono, yexp), c in self.terms.items():
             if letter == E:
                 raise ValueError(
                     "the scaling class does not act as a derivation")
-            out = out + (TPolynomial.monomial(self.nvars, self.nu, mono, yexp, c)
-                         * _letter_act(letter, t))
-        return out
+            for key, v in t.terms.items():
+                a, (m, y) = _act(letter, key, self.nu)
+                if a:
+                    _add_term(out, (_mono_mul(mono, m), yexp + y), a * c * v)
+        return TPolynomial._of(self.nvars, self.nu, out)
 
 
 def render_f_element(a: FElement) -> str:
@@ -445,15 +459,6 @@ def render_f_element(a: FElement) -> str:
 
 
 render_derivation = render_f_element
-
-
-def _letter_act(letter, t: TPolynomial) -> TPolynomial:
-    """A letter acting on T: derivations act as such, e scales by weight."""
-    if letter == E:
-        return t.weight_scaled()
-    if letter == DEL:
-        return t.partial_y()
-    return t.partial_x(letter)
 
 
 # ---------------------------------------------------------------------------
@@ -535,44 +540,32 @@ def _base_bracket(nvars: int, nu: int, ka, va: Fraction, kb,
     weight rule for e (scalar e coefficients only), and the evaluation
     rule [t*l, g] = t*l(g) against bare coefficients.
     """
-    wa, xa, ya = ka
-    wb, xb, yb = kb
-    if not wa and not wb:
-        return {}
-    t = TPolynomial.monomial(nvars, nu, xa, ya, va)
-    s = TPolynomial.monomial(nvars, nu, xb, yb, vb)
-    if not wb:
-        acted = t * _letter_act(wa[0], s)
-        return {((), m, y): c for (m, y), c in acted.terms.items()}
-    if not wa:
-        acted = (s * _letter_act(wb[0], t)).scale(-1)
-        return {((), m, y): c for (m, y), c in acted.terms.items()}
-    l1, l2 = wa[0], wb[0]
-    if E in (l1, l2):
-        if l1 == l2:
+    wa, wb = ka[0], kb[0]
+    if wa and wb and E in (wa[0], wb[0]):
+        if wa == wb:
             return {}
         # the weight rule is symmetric: scale the other term by its weight
-        (_, xe, ye), (wo, xo, yo) = (ka, kb) if l1 == E else (kb, ka)
+        (_, xe, ye), (wo, xo, yo) = (ka, kb) if wa[0] == E else (kb, ka)
         if xe != (0,) * nvars or ye != 0:
             raise ValueError("bracket with a nonconstant e coefficient")
         c = va * vb * (_letter_weight(wo[0], nu) + sum(xo) + yo * nu)
         return {(wo, xo, yo): c} if c else {}
-    # [t l1, s l2] = t l1(s) l2 - s l2(t) l1
+    # [t l1, s l2] = t l1(s) l2 - s l2(t) l1; a bare side has no letter
+    # to act with, which leaves [t l, s] = t l(s) and [t, s l] = -s l(t)
     out: dict = {}
-    for (m, y), c in (t * _letter_act(l1, s)).terms.items():
-        _add_term(out, ((l2,), m, y), c)
-    for (m, y), c in (s * _letter_act(l2, t)).terms.items():
-        _add_term(out, ((l1,), m, y), -c)
+    for sign, (w1, x1, y1), v1, (w2, x2, y2), v2 in (
+            (1, ka, va, kb, vb), (-1, kb, vb, ka, va)):
+        if w1:
+            c, (m, y) = _act(w1[0], (x2, y2), nu)
+            if c:
+                _add_term(out, (w2, _mono_mul(x1, m), y1 + y), sign * c * v1 * v2)
     return out
 
 
-def _merge(acc: dict, inc: dict, scale: int = 1) -> None:
-    for k, v in inc.items():
-        _add_term(acc, k, scale * v)
-
-
-def _wedge_terms(nvars: int, cap: int, a: dict, b: dict) -> dict:
-    out: dict = {}
+def _wedge_terms(nvars: int, cap: int, a: dict, b: dict,
+                 out: "dict | None" = None, sign: int = 1) -> dict:
+    """sign * (a ^ b), added into out (a new dict if None) and returned."""
+    out = {} if out is None else out
     for (wa, xa, ya), va in a.items():
         for (wb, xb, yb), vb in b.items():
             if len(wa) + len(wb) > cap:
@@ -581,7 +574,7 @@ def _wedge_terms(nvars: int, cap: int, a: dict, b: dict) -> dict:
                     f"the cap {cap}")
             sw, sg = _sort_word(wa + wb, nvars)
             if sg:
-                _add_term(out, (sw, _mono_mul(xa, xb), ya + yb), sg * va * vb)
+                _add_term(out, (sw, _mono_mul(xa, xb), ya + yb), sign * sg * va * vb)
     return out
 
 
@@ -603,13 +596,11 @@ def _bracket_terms(nvars: int, nu: int, cap: int, ka, va: Fraction,
     if len(wa) >= 2:
         head = ((wa[0],), xa, ya)
         rest = (wa[1:], (0,) * nvars, 0)
-        out: dict = {}
         inner = _bracket_terms(nvars, nu, cap, rest, Fraction(1), kb, vb)
-        _merge(out, _wedge_terms(nvars, cap, {head: va}, inner))
+        out = _wedge_terms(nvars, cap, {head: va}, inner)
         sg = _sign((len(wb) + 1) * (len(wa) - 1))
         outer = _bracket_terms(nvars, nu, cap, head, va, kb, vb)
-        _merge(out, _wedge_terms(nvars, cap, outer, {rest: Fraction(1)}), sg)
-        return out
+        return _wedge_terms(nvars, cap, outer, {rest: Fraction(1)}, out, sg)
     rev = -_sign((len(wa) - 1) * (len(wb) - 1))
     flipped = _bracket_terms(nvars, nu, cap, kb, vb, ka, va)
     return {k: rev * v for k, v in flipped.items()}
@@ -629,7 +620,8 @@ def schouten_bracket_F(a: FElement, b: FElement) -> FElement:
     out: dict = {}
     for ka, va in a.terms.items():
         for kb, vb in b.terms.items():
-            _merge(out, _bracket_terms(nvars, nu, cap, ka, va, kb, vb))
+            for k, v in _bracket_terms(nvars, nu, cap, ka, va, kb, vb).items():
+                _add_term(out, k, v)
     return a._sum_type(b)._of(nvars, nu, out)
 
 

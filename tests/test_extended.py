@@ -1,5 +1,6 @@
 """Unit-extended algebras: primitive classes plus nilpotent e-classes."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,32 @@ def test_cubic_extended_laws():
         "associative": True,
         "graded_ok": True,
     }
+
+
+# edits of the Fermat cubic's table on the basis 1, h, e0, e1 (grades 0, 2,
+# 1, 1), where h and the e-classes multiply to zero, each with the flags that
+# it breaks, worked out by hand
+@pytest.mark.parametrize("edits,grading,broken", [
+    # 1 h = h 1 = 0: span(1, e0, e1) plus a null line h, still associative
+    ({(0, 1): {}, (1, 0): {}}, (0, 2, 1, 1), {"unital"}),
+    # e0 e1 = h but e1 e0 = 0: associative, as h kills all but 1
+    ({(2, 3): {1: 1}}, (0, 2, 1, 1), {"commutative"}),
+    # e0 e0 = 1 with e0 in grade 0: (e0 e0) e1 = e1 but e0 (e0 e1) = 0
+    ({(2, 2): {0: 1}}, (0, 2, 0, 1), {"associative"}),
+    # h h = h, in grade 2 rather than 4
+    ({(1, 1): {1: 1}}, (0, 2, 1, 1), {"graded_ok"}),
+])
+def test_law_check_flags_each_broken_law(edits, grading, broken):
+    alg = build_extended(CUBIC)
+    assert alg.grading == (0, 2, 1, 1)
+    products = [[dict(entry) for entry in row] for row in alg.products]
+    for (i, j), entry in edits.items():
+        products[i][j] = {x: Fraction(c) for x, c in entry.items()}
+    edited = dataclasses.replace(alg, products=products, grading=grading)
+    assert verify_algebra_laws(edited) == {
+        law: law not in broken
+        for law in ("unital", "commutative", "associative", "graded_ok")}
+    assert all(verify_algebra_laws(alg).values())  # the edits were on copies
 
 
 def test_quartic_extended_dimension():
