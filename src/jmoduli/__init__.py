@@ -25,11 +25,11 @@ _PUBLIC = {
     "extended": "EClass ExtendedAlgebra PrimitiveClass build_extended "
                 "build_extended_deformed structure_constants to_json_dict "
                 "verify_algebra_laws verify_dimension_equality",
-    "dgla": "DEL E DerivationElement FElement GradedPiece TPolynomial "
-            "TruncationError bracket_L cohomology_dims cohomology_report "
-            "d_f_apply d_f_apply_F graded_piece render_derivation "
-            "render_f_element render_t_polynomial schouten_bracket_F "
-            "verify_shifted_differential",
+    "cochains": "DEL E cohomology_dims cohomology_report",
+    "dgla": "DerivationElement FElement GradedPiece TPolynomial "
+            "TruncationError bracket_L d_f_apply d_f_apply_F graded_piece "
+            "render_derivation render_f_element render_t_polynomial "
+            "schouten_bracket_F verify_shifted_differential",
 }
 _HOME = {name: module for module, names in _PUBLIC.items()
          for name in names.split()}

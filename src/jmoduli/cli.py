@@ -12,7 +12,8 @@ moduli reports the graded dimensions, basis data, and dim R~ and its
 grading read off the Hilbert data (no product table), deform compares
 the deformed algebra against the graded one, and dgla reports one
 (degree, weight) spot of the first-order cohomology.  deform and dgla
-import extended and dgla when they run, so check and moduli load neither.
+import extended and cochains when they run, so check and moduli load
+neither, and no command loads the wedge calculus of dgla.
 
 Exit codes: 0 success, 1 a mathematical hypothesis failed, 2 parse or
 usage error, 3 compute budget exceeded.  --json switches the report to
@@ -264,7 +265,7 @@ def cmd_deform(args) -> int:
 
 
 def cmd_dgla(args) -> int:
-    from .dgla import cohomology_report
+    from .cochains import cohomology_report
 
     f, nu = _parse_f(args)
     spot = cohomology_report(f, args.degree, args.weight, args.deadline)

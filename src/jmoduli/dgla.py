@@ -1,36 +1,15 @@
 """Derivation Lie algebra of S[y] with a square-zero differential, and the
 wedge calculus built on top of it.
 
-The carrier ring is T = S[y] where S = Q[x0..x_{n}]: every x carries
-weight 1 and homological degree 0, while y carries weight nu and degree
--1.  Three families of symbols act on T:
-
-    d0..dn   the x-direction derivations (degree 0, weight -1)
-    del      the y-direction derivation (degree 1, weight -nu)
-    e        a scaling class: e acts on a weight-homogeneous element by
-             multiplying it with its weight (degree -1, weight 0)
-
-A homogeneous form f of weight nu induces the differential d_f fixed on
-generators by
-
-    d_f(d_i) = f_i del        d_f(y d_i) = f d_i - f_i y del
-    d_f(del) = 0              d_f(y del) = f del
-    d_f(e)   = sum_k x^k d_k - nu y del
-
-and extended to y-powers by the parity rule d_f(y^b) = (b mod 2) f y^{b-1}
-together with a Koszul sign (-1)^b when d_f passes a coefficient y^b.
-With these signs d_f squares to zero on all coefficiented derivation
-words and on the bare class e; the Euler identity sum x^k f_k = nu f is
-what makes the e-image close.  Wedge words that mix e with an odd number
-of x-direction letters do not square to zero under any sign assignment
-(y would have to square to zero for that), so graded pieces never
-enumerate mixed e-words: e enters only as a one-dimensional scalar line.
-d_f is written once, as the integer image of one term key under den * d_f
-(den the lcm of the denominators of f): a template per (word, y-exponent)
-shifted by the key's monomial.  The cohomology builds no elements: a piece
-is a list of (word, y-exponent, x-weight) blocks, and a row shifts its
-template over its block's monomials, packed B bits an exponent with
-2^B > weight + 2 nu so that no shift carries into the next field.
+T = S[y], its letters d_i, del and e, and the differential d_f of a form
+f are set out in cochains, which computes the cohomology without this
+module; graded_piece expands the same blocks into elements.  d_f squares
+to zero on all coefficiented derivation words and on the bare class e;
+the Euler identity sum x^k f_k = nu f is what makes the e-image close.
+Wedge words that mix e with an odd number of x-direction letters do not
+square to zero under any sign assignment (y would have to square to zero
+for that), so graded pieces never enumerate mixed e-words: e enters only
+as a one-dimensional scalar line.
 
 The first-order space L is not a second calculus: it is the slice of the
 wedge module F spanned by one-letter words whose coefficients carry y at
@@ -63,12 +42,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations, count
-from math import comb, inf
-from operator import add, lshift
+from math import comb
 
+from . import cochains
+from .cochains import (DEL, E, _blocks, _differential, _letter_rank,
+                       _letter_weight, _mono_mul, _sign, _sort_word, _word_fdeg,
+                       _word_weight)
 from .jacobian import form_weight, weight_of_or_none
-from .linalg import _echelon, _integral, check_deadline
+from .linalg import check_deadline
 from .polys import (
     Monomial,
     Polynomial,
@@ -79,32 +60,12 @@ from .polys import (
     monomials_of_weight,
     render_signed_sum,
 )
-from .stats import Stats
 
-DEL = "del"
-E = "e"
+cohomology_report, cohomology_dims = cochains.cohomology_report, cochains.cohomology_dims
 
 
 class TruncationError(ValueError):
     """A wedge word grew past the admissible length (nvars - 2)."""
-
-
-def _sign(k: int) -> int:
-    # (-1)**k returns a float for negative k; keep everything integral
-    return -1 if k % 2 else 1
-
-
-def _letter_fdeg(letter) -> int:
-    """Homological degree a letter contributes to a wedge word."""
-    return 2 if letter == DEL else 0 if letter == E else 1
-
-
-def _letter_weight(letter, nu: int) -> int:
-    return -nu if letter == DEL else 0 if letter == E else -1
-
-
-def _letter_rank(letter, nvars: int) -> int:
-    return nvars if letter == DEL else nvars + 1 if letter == E else letter
 
 
 def _check_letter(letter, nvars: int) -> None:
@@ -114,10 +75,6 @@ def _check_letter(letter, nvars: int) -> None:
 
 def _render_letter(letter) -> str:
     return letter if isinstance(letter, str) else f"d{letter}"
-
-
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(add, a, b))
 
 
 def _common(values) -> "int | None":
@@ -249,34 +206,6 @@ def render_t_polynomial(t: TPolynomial) -> str:
 
 # ---------------------------------------------------------------------------
 # wedge words
-
-
-def _sort_word(word: tuple, nvars: int):
-    """Canonical order with braiding sign.
-
-    x-direction letters are odd and anticommute; del and e are even.  A
-    repeated odd letter kills the word: returns (None, 0).
-    """
-    w = list(word)
-    sign = 1
-    for i in range(1, len(w)):
-        j = i
-        while j > 0 and _letter_rank(w[j - 1], nvars) > _letter_rank(w[j], nvars):
-            if _letter_fdeg(w[j - 1]) % 2 and _letter_fdeg(w[j]) % 2:
-                sign = -sign
-            w[j - 1], w[j] = w[j], w[j - 1]
-            j -= 1
-    if any(a == b and _letter_fdeg(a) % 2 for a, b in zip(w, w[1:])):
-        return None, 0
-    return tuple(w), sign
-
-
-def _word_fdeg(word: tuple) -> int:
-    return sum(_letter_fdeg(l) for l in word)
-
-
-def _word_weight(word: tuple, nu: int) -> int:
-    return sum(_letter_weight(l, nu) for l in word)
 
 
 class FElement(SparseSum):
@@ -465,52 +394,6 @@ render_derivation = render_f_element
 # the differential
 
 
-def _differential(f: Polynomial, nvars: int, nu: int):
-    """(row, den): row(key) is the image of the term key (word, x-exponents,
-    y-exponent) under den * d_f as {key: int}, den the lcm of f's denominators.
-
-    f is checked and its partials are taken once per differential.  Two
-    contributions per key: the coefficient rule d(y^b) = (b mod 2) f y^{b-1},
-    and letter replacement d_i -> f_i del and e -> sum x^k d_k - nu y del
-    behind a Koszul sign that counts the degree parity of the coefficient
-    and of the letters crossed; row(key) shifts its (word, yexp) template.
-    """
-    if f.nvars != nvars:
-        raise ValueError("arity mismatch")
-    if f.is_zero() or weight_of_or_none(f) != nu:
-        raise ValueError("f must be homogeneous of weight nu")
-    f_terms, den = _integral(f.terms)
-    # letter -> (replacement letter, y shift, integer coefficient terms)
-    images = {i: [(DEL, 0, tuple((m, int(den * c)) for m, c in
-                                 f.partial_derivative(i).terms.items()))]
-              for i in range(nvars)}
-    images[E] = [(k, 0, ((tuple(int(i == k) for i in range(nvars)), den),))
-                 for k in range(nvars)]
-    images[E].append((DEL, 1, (((0,) * nvars, -nu * den),)))
-
-    templates: dict = {}
-
-    def row(key) -> dict:
-        word, mono, yexp = key
-        if (word, yexp) not in templates:
-            out = ({(word, m, yexp - 1): c for m, c in f_terms.items()}
-                   if yexp % 2 else {})
-            crossed = yexp
-            for i, letter in enumerate(word):
-                for new, dy, coeff in images.get(letter, ()):
-                    sw, sg = _sort_word(word[:i] + (new,) + word[i + 1:], nvars)
-                    if sg:
-                        s = sg * _sign(crossed)
-                        for m, c in coeff:
-                            _add_term(out, (sw, m, yexp + dy), s * c)
-                crossed += _letter_fdeg(letter)
-            templates[word, yexp] = out
-        return {(w, _mono_mul(mono, m), y): c
-                for (w, m, y), c in templates[word, yexp].items()}
-
-    return row, den
-
-
 def d_f_apply_F(a: FElement, f: Polynomial) -> FElement:
     """The differential attached to f, on wedge words.
 
@@ -665,30 +548,6 @@ def _monomial_slices(nvars: int, weight: int):
             for part in _monomial_slices(nvars - 1, weight - e))
 
 
-def _blocks(nvars: int, nu: int, degree: int, weight: int, space: str = "L") -> list:
-    """The (word, y-exponent, x-weight) blocks of graded_piece(f, degree,
-    weight, space) in basis order, leaving out negative x-weights."""
-    if space == "L":
-        k, fdeg, ymax = 1, degree + 1, 1
-    else:
-        text = space.replace("^", "")
-        if not text.startswith("F") or not text[1:].isdigit():
-            raise ValueError(f"unknown space {space!r}; expected 'L' or 'Fk'")
-        k, cap = int(text[1:]), nvars - 2
-        if not 0 <= k <= cap:
-            raise ValueError(f"word length {k} outside 0..{cap}")
-        fdeg, ymax = degree, inf
-    blocks = []
-    for ndel in range(k + 1):
-        for subset in combinations(range(nvars), k - ndel):
-            word = subset + (DEL,) * ndel
-            yexp = _word_fdeg(word) - fdeg
-            xw = weight - yexp * nu - _word_weight(word, nu)
-            if 0 <= yexp <= ymax and xw >= 0:
-                blocks.append((word, yexp, xw))
-    return blocks + [((E,), 0, 0)] * (k == 1 and fdeg == weight == 0)
-
-
 def graded_piece(f: Polynomial, degree: int, weight: int,
                  space: str = "L", deadline: float | None = None) -> GradedPiece:
     """Monomial basis of the (degree, weight) piece of L or of F^k.
@@ -709,75 +568,6 @@ def graded_piece(f: Polynomial, degree: int, weight: int,
             check_deadline(deadline, "the graded pieces")
             basis += [cls._of(nvars, nu, {(word, m, yexp): one}) for m in monos]
     return GradedPiece(degree, weight, tuple(basis))
-
-
-def _boundary_rank(row, nvars: int, bits: int, src, dst, deadline: float | None) -> int:
-    """Rank of den * d_f from the blocks src to the blocks dst.  Monomials
-    are packed once per x-weight, with a deadline check per slice of at
-    most 4096; a row has c at column off + pos[p + d] per entry (d, c) of
-    its block's template, off the start of the entry's block in dst.  The
-    rows are fresh, without zeros, and built as _echelon takes them."""
-    shifts = [bits * i for i in range(nvars)]
-    positions: dict = {}  # x-weight -> {packed monomial: position}
-    for xw in dict.fromkeys(xw for _, _, xw in src + dst):
-        pos = positions[xw] = {}
-        for monos in _monomial_slices(nvars, xw):
-            check_deadline(deadline, "the graded pieces")
-            pos.update(zip((sum(map(lshift, m, shifts)) for m in monos), count(len(pos))))
-    cols = accumulate((len(positions[xw]) for _, _, xw in dst), initial=0)
-    offsets = {(w, y): (c, positions[xw]) for (w, y, xw), c in zip(dst, cols)}
-
-    def rows():
-        for word, yexp, xw in src:
-            try:
-                shift = [(*offsets[w, y], sum(map(lshift, m, shifts)), c)
-                         for (w, m, y), c in row((word, (0,) * nvars, yexp)).items()]
-                for p in positions[xw]:
-                    yield {off + pos[p + d]: c for off, pos, d, c in shift}
-            except KeyError as exc:
-                raise RuntimeError(
-                    f"differential left the enumerated piece at {exc}") from exc
-
-    return len(_echelon(rows(), deadline))
-
-
-def cohomology_report(f: Polynomial, degree: int, weight: int,
-                      deadline: float | None = None,
-                      stats: Stats | None = None) -> dict:
-    """Dimensions at one (degree, weight) spot of the first-order complex.
-
-    Returns piece, kernel, incoming-image and cohomology dimensions, from
-    the ranks of den * d_f: scaling rows keeps a rank, and keeps it integral.
-    stats, if given, counts piece_dim and the rows, cols, nnz and rank of
-    the boundaries out of the piece (out_) and into it (in_).
-    """
-    nvars, nu = f.nvars, form_weight(f)
-    row, _ = _differential(f, nvars, nu)
-    here, above, below = (_blocks(nvars, nu, d, weight)
-                          for d in (degree, degree + 1, degree - 1))
-    bits = max(weight + 2 * nu, 1).bit_length()
-    rank_out = _boundary_rank(row, nvars, bits, here, above, deadline)
-    rank_in = _boundary_rank(row, nvars, bits, below, here, deadline)
-
-    def size(blocks: list) -> int:
-        return sum(comb(xw + nvars - 1, nvars - 1) for _, _, xw in blocks)
-    dim = size(here)
-    if stats is not None:
-        stats.count("piece_dim", dim)
-        for name, src, dst, rank in (("out", here, above, rank_out),
-                                     ("in", below, here, rank_in)):
-            # a shift keeps every entry of the template
-            nnz = sum(size([b]) * len(row((b[0], (0,) * nvars, b[1]))) for b in src)
-            for key, n in (("rows", size(src)), ("cols", size(dst)),
-                           ("nnz", nnz), ("rank", rank)):
-                stats.count(f"{name}_{key}", n)
-    return {"dim_piece": dim, "dim_ker": dim - rank_out,
-            "dim_im_in": rank_in, "h_dim": dim - rank_out - rank_in}
-
-
-def cohomology_dims(f: Polynomial, degree: int, weight: int) -> int:
-    """dim ker/im of the differential at the given (degree, weight)."""
-    return cohomology_report(f, degree, weight)["h_dim"]
 
 
 # ---------------------------------------------------------------------------

@@ -206,9 +206,9 @@ def verify_dimension_equality(
 def verify_algebra_laws(algebra: ExtendedAlgebra) -> dict:
     """Exhaustive unit/commutativity/associativity/grading checks.
 
-    Associativity runs over all basis triples (i, j, k); by the already
-    verified commutativity, the triple (k, j, i) checks the mirror
-    identity, so only i <= k is enumerated.  Returns a dict of booleans.
+    Associativity runs over all basis triples (i, j, k); on a commutative
+    table the triple (k, j, i) checks the mirror identity, so only i <= k
+    is enumerated there.  Returns a dict of booleans.
     """
     dim = algebra.dim
     products = algebra.products
@@ -240,7 +240,7 @@ def verify_algebra_laws(algebra: ExtendedAlgebra) -> dict:
             break
         for j in range(dim):
             row_ij = products[i][j]
-            for k in range(i, dim):
+            for k in range(i if commutative else 0, dim):
                 if not row_ij and not products[j][k]:
                     continue
                 if mul_row(row_ij, k) != row_mul(i, products[j][k]):

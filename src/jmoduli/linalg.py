@@ -132,9 +132,11 @@ def _checked(rows: Iterable[Vector], ncols: int | None):
     return (_integer_row(vec, ncols, "ragged matrix")[0] for vec in rows), ncols
 
 
-def _echelon(rows: Iterable[Row], deadline: float | None) -> dict[int, Row]:
+def _echelon(rows: Iterable[Row], deadline: float | None,
+             ncols: int | None = None) -> dict[int, Row]:
     """Primitive rows by pivot from fresh {col: int} rows without zeros,
-    which it takes over; each row checks the perf_counter() deadline."""
+    which it takes over; each row checks the perf_counter() deadline.
+    Given ncols, it takes no row after the ncols-th pivot."""
     echelon: dict[int, Row] = {}
     for v in rows:
         check_deadline(deadline, "the elimination")
@@ -142,6 +144,8 @@ def _echelon(rows: Iterable[Row], deadline: float | None) -> dict[int, Row]:
         if v:
             piv = min(v)
             echelon[piv] = _primitive(v, piv)
+            if len(echelon) == ncols:
+                break
     return echelon
 
 

@@ -308,10 +308,11 @@ LOADED_AFTER_MAIN = (
 
 
 @pytest.mark.parametrize("argv,unused", [
-    (["check", CUBIC], {"jmoduli.dgla", "jmoduli.extended"}),
-    (["moduli", CUBIC], {"jmoduli.dgla", "jmoduli.extended"}),
-    (["dgla", CUBIC, "--degree", "1", "--weight=-3"], {"jmoduli.extended"}),
-    (["deform", CUBIC, "x0*x1*x2"], {"jmoduli.dgla"}),
+    (["check", CUBIC], {"jmoduli.cochains", "jmoduli.dgla", "jmoduli.extended"}),
+    (["moduli", CUBIC], {"jmoduli.cochains", "jmoduli.dgla", "jmoduli.extended"}),
+    (["dgla", CUBIC, "--degree", "1", "--weight=-3"],
+     {"jmoduli.dgla", "jmoduli.extended"}),
+    (["deform", CUBIC, "x0*x1*x2"], {"jmoduli.cochains", "jmoduli.dgla"}),
 ])
 def test_each_command_imports_only_what_it_runs(src_env, argv, unused):
     proc = subprocess.run([sys.executable, "-c", LOADED_AFTER_MAIN, *argv],
@@ -606,6 +607,9 @@ def test_one_variable_deform_is_a_hypothesis_failure(capsys, argv):
     (["moduli", "x0^2000000"], 0.2),
     # the first word of each piece has about 180,000 monomials
     (["dgla", CUBIC, "--degree", "1", "--weight", "600"], 0.1),
+    # 5 variables at weight 60: 635,376 monomials a word, packed in slices
+    (["dgla", "x0^5 + x1^5 + x2^5 + x3^5 + x4^5", "--degree", "0",
+      "--weight", "60"], 0.05),
 ])
 def test_timeout_binds_inside_the_staircase_and_the_pieces(capsys, argv,
                                                            limit):

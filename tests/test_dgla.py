@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
 from math import comb, lcm
 
 import pytest
@@ -373,11 +374,11 @@ def test_passed_deadline_stops_the_cohomology():
 def test_passed_deadline_reaches_the_elimination(monkeypatch):
     import time
 
-    import jmoduli.dgla as dgla
+    import jmoduli.cochains as cochains
     from jmoduli import BudgetExceeded
 
     # only the elimination in linalg._echelon checks the deadline
-    monkeypatch.setattr(dgla, "check_deadline", lambda deadline, stage: None)
+    monkeypatch.setattr(cochains, "check_deadline", lambda deadline, stage: None)
     with pytest.raises(BudgetExceeded, match="elimination"):
         cohomology_report(QUARTIC, 0, 4, deadline=time.perf_counter() - 1)
 
@@ -385,48 +386,56 @@ def test_passed_deadline_reaches_the_elimination(monkeypatch):
 DGLA_GOLDENS = sorted(name for name in CASES if name.startswith("dgla_"))
 
 
+def with_skipped_blocks(rows, row, nvars, src, positions):
+    """rows, built for the blocks src in order, with the rows of each block
+    that yields none put back as empty rows.  Only a block whose template is
+    empty may yield none, and it must: else rows are left over or short."""
+    fast, matrix = iter(rows), []
+    for word, yexp, xw in src:
+        n = len(positions[xw])
+        matrix += islice(fast, n) if row((word, (0,) * nvars, yexp)) else [{}] * n
+    assert next(fast, None) is None
+    return matrix
+
+
 @pytest.mark.parametrize("name", DGLA_GOLDENS)
 def test_boundary_rows_reach_the_elimination_unchecked(monkeypatch, name):
-    """_boundary_rank hands _echelon fresh rows of nonzero ints on the
-    columns of dst, and no row passes linalg._integer_row."""
+    """_boundary_rows builds fresh rows of nonzero ints on the columns of
+    dst, and no row passes linalg._integer_row."""
     import json
 
-    import jmoduli.dgla as dgla
+    import jmoduli.cochains as cochains
     import jmoduli.linalg as linalg
     from jmoduli.cli import build_parser
 
     def no_check(*args):
         raise AssertionError("_integer_row on the boundary rows")
 
-    ncols = []  # the dimension of dst of the boundary being ranked
-    seen, ids = [], set()  # every row received, kept alive so no id is reused
-    real_rank, real_echelon = dgla._boundary_rank, dgla._echelon
+    matrices = []  # every boundary's rows, skipped blocks as empty rows
+    seen, ids = [], set()  # every row built, kept alive so no id is reused
+    real_rows = cochains._boundary_rows
 
-    def boundary_rank(row, nvars, bits, src, dst, deadline):
-        ncols.append(sum(comb(xw + nvars - 1, nvars - 1) for *_, xw in dst))
-        return real_rank(row, nvars, bits, src, dst, deadline)
-
-    def checked(rows):
+    def boundary_rows(row, nvars, bits, src, dst, positions):
+        ncols = sum(comb(xw + nvars - 1, nvars - 1) for *_, xw in dst)
+        rows = list(real_rows(row, nvars, bits, src, dst, positions))
         for vec in rows:
             assert type(vec) is dict and id(vec) not in ids
             assert all(type(c) is int and c for c in vec.values())
-            assert all(0 <= col < ncols[-1] for col in vec)
+            assert all(0 <= col < ncols for col in vec)
             seen.append(vec)
             ids.add(id(vec))
-            yield vec
+        matrices.append(with_skipped_blocks(rows, row, nvars, src, positions))
+        return iter(rows)
 
     monkeypatch.setattr(linalg, "_integer_row", no_check)
-    monkeypatch.setattr(dgla, "_boundary_rank", boundary_rank)
-    monkeypatch.setattr(dgla, "_echelon",
-                        lambda rows, deadline: real_echelon(checked(rows),
-                                                            deadline))
+    monkeypatch.setattr(cochains, "_boundary_rows", boundary_rows)
     args = build_parser().parse_args(CASES[name])
     spot = cohomology_report(parse_polynomial(args.f), args.degree,
                              args.weight)
     golden = json.loads((GOLDEN / f"{name}.json").read_text())["result"]
     assert spot == {key: golden[key] for key in spot}
     # one row per basis key of the piece and of the piece below it
-    assert len(ncols) == 2 and len(seen) >= spot["dim_piece"]
+    assert len(matrices) == 2 and sum(map(len, matrices)) >= spot["dim_piece"]
 
 
 def slow_boundary_rows(f, degree, weight):
@@ -445,23 +454,22 @@ def slow_boundary_rows(f, degree, weight):
 
 
 def assert_fast_rows_match(f, degree, weight):
-    """The rows cohomology_report hands _echelon, out of the piece and
-    into it, equal the slow rows column for column."""
-    import jmoduli.dgla as dgla
+    """Every row that cohomology_report builds, out of the piece and into
+    it, equals the slow row column for column, a skipped block's rows
+    counting as empty rows; the elimination still takes the rows."""
+    import jmoduli.cochains as cochains
 
-    matrices, real_echelon = [], dgla._echelon
+    matrices, real_rows = [], cochains._boundary_rows
 
-    def copied(rows, matrix):
-        for vec in rows:
-            matrix.append(dict(vec))  # _echelon reduces the rows it takes
-            yield vec
-
-    def echelon(rows, deadline):
-        matrices.append([])
-        return real_echelon(copied(rows, matrices[-1]), deadline)
+    def boundary_rows(row, nvars, bits, src, dst, positions):
+        rows = list(real_rows(row, nvars, bits, src, dst, positions))
+        # copied, since _echelon reduces the rows it takes
+        copies = [dict(vec) for vec in rows]
+        matrices.append(with_skipped_blocks(copies, row, nvars, src, positions))
+        return iter(rows)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dgla, "_echelon", echelon)
+        patch.setattr(cochains, "_boundary_rows", boundary_rows)
         cohomology_report(f, degree, weight)
     assert matrices == [slow_boundary_rows(f, degree, weight),
                         slow_boundary_rows(f, degree - 1, weight)]
@@ -497,6 +505,62 @@ def test_fast_boundary_rows_match_the_element_path_on_drawn_forms(f, degree,
                                                                   w):
     assume(not f.is_zero())
     assert_fast_rows_match(f, degree, w)
+
+
+@pytest.mark.parametrize("nvars", range(1, 6))
+def test_packed_of_weight_packs_monomials_of_weight_in_order(nvars):
+    from jmoduli.cochains import _packed_of_weight
+
+    for weight in range(10):
+        for bits in (max(weight, 1).bit_length(), 9):
+            assert list(_packed_of_weight(nvars, weight, bits, None)) == [
+                sum(e << bits * i for i, e in enumerate(m))
+                for m in monomials_of_weight(nvars, weight)]
+
+
+@pytest.mark.parametrize("nvars,weight", [(3, 100), (4, 30), (2, 5000)])
+def test_packed_of_weight_in_slices(monkeypatch, nvars, weight):
+    import jmoduli.cochains as cochains
+
+    checks = []
+    monkeypatch.setattr(cochains, "check_deadline",
+                        lambda deadline, stage: checks.append(stage))
+    bits = weight.bit_length()
+    packed = cochains._packed_of_weight(nvars, weight, bits, None)
+    assert not checks  # the slices are built as they are read
+    monos = monomials_of_weight(nvars, weight)
+    assert len(monos) > 4096
+    assert list(packed) == [sum(e << bits * i for i, e in enumerate(m))
+                            for m in monos]
+    # at most 4096 monomials between two checks
+    assert len(checks) >= len(monos) / 4096
+
+
+def test_full_rank_boundary_stops_early(monkeypatch):
+    """The quartic's out boundary at (0, 6) has 564 rows, 286 columns and
+    rank 286: the elimination stops at its 286th pivot, and the rank is
+    that of the slow rows."""
+    import jmoduli.cochains as cochains
+    from jmoduli.linalg import rank_of
+    from jmoduli.stats import Stats
+
+    taken, real_rows = [], cochains._boundary_rows
+
+    def boundary_rows(*args):
+        taken.append(0)
+        for vec in real_rows(*args):
+            taken[-1] += 1
+            yield vec
+
+    monkeypatch.setattr(cochains, "_boundary_rows", boundary_rows)
+    stats = Stats()
+    cohomology_report(QUARTIC, 0, 6, stats=stats)
+    counters = stats.counters
+    assert (counters["out_rows"], counters["out_cols"], counters["out_rank"]) == (
+        564, 286, 286)
+    assert 286 <= taken[0] < 564
+    assert taken[1] == counters["in_rows"] == 80  # rank 80 of 564 columns
+    assert rank_of(slow_boundary_rows(QUARTIC, 0, 6), 286) == 286
 
 
 def test_cohomology_counters():

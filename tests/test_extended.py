@@ -78,6 +78,9 @@ def test_cubic_extended_laws():
     ({(2, 2): {0: 1}}, (0, 2, 0, 1), {"associative"}),
     # h h = h, in grade 2 rather than 4
     ({(1, 1): {1: 1}}, (0, 2, 1, 1), {"graded_ok"}),
+    # e1 e0 = e0 with e1 in grade 0: (e1 e1) e0 = 0 but e1 (e1 e0) = e0, a
+    # triple with k < i that a commutative table would mirror
+    ({(3, 2): {2: 1}}, (0, 2, 1, 0), {"commutative", "associative"}),
 ])
 def test_law_check_flags_each_broken_law(edits, grading, broken):
     alg = build_extended(CUBIC)
